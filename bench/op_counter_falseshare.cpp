@@ -1,8 +1,8 @@
 // False-sharing microbench for the per-shard OpCounter padding.
 //
-// ShardedDetector keeps one OpCounter per shard; in engine mode each
-// shard's owner thread bumps its counter on every instrumented filter op
-// while neighbouring shards' owners do the same. If two shards' counters
+// ShardedDetector keeps one OpCounter per shard; with batch fan-out each
+// lane bumps its shard's counter on every instrumented filter op while
+// lanes draining neighbouring shards do the same. If two shards' counters
 // share a cache line, every increment is a coherence miss. This bench
 // measures that directly: two threads each hammer their own OpCounter in
 // two layouts —

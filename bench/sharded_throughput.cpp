@@ -1,22 +1,21 @@
 // Sharded ingestion throughput: the trajectory bench for the parallel
 // batched hot path.
 //
-// Sweeps {1,2,4,8} threads × {1,4,16,64} shards × {GBF, blocked-GBF, TBF}
+// Sweeps {1,2,3,4} threads × {1,4,16,64} shards × {GBF, blocked-GBF, TBF}
 // over one Zipf click stream (heavy-tailed duplicates, like real ad
-// traffic) and measures two ingestion modes per configuration:
-//   * offer  — the legacy path: one virtual call + one mutex acquisition
+// traffic) and measures three ingestion arms per configuration:
+//   * offer   — the legacy path: one virtual call + one mutex acquisition
 //     per click, threads = 1 (this is the "single-thread mutex-per-offer
 //     baseline" every speedup is quoted against);
-//   * batch  — ShardedDetector::offer_batch: micro-batches bucketized by
-//     shard, one lock per shard per batch, pipelined inner offer_batch,
-//     optional fan-out across ShardedDetector::Options::threads;
-//   * engine — the same offer_batch surface running the lock-free
-//     owner-pinned SPSC engine (EngineMode::kSpscOwner): buckets are
-//     posted to long-lived owner threads through SPSC rings, no mutex on
-//     the hot path. Interleaved rep-by-rep with the mutex arms and
-//     subject to a regression floor: on hosts with ≥ 4 hardware threads,
-//     engine throughput at threads ≥ 4 must be ≥ 1.3× the mutex batch
-//     arm, or the bench exits nonzero.
+//   * batch-s — offer_batch with the SIMD hash kernels pinned to their
+//     scalar arm;
+//   * batch   — ShardedDetector::offer_batch, default dispatch:
+//     micro-batches bucketized by shard, one lock per shard per batch,
+//     pipelined inner offer_batch, optional fan-out across
+//     ShardedDetector::Options::threads.
+// Every arm runs kReps passes, interleaved rep-by-rep so shared-host clock
+// drift hits all arms equally; the JSON records the median and the
+// quartiles of each arm.
 //
 // Filters are sized cache-hostile on purpose (the production regime: a
 // window of millions of clicks does not fit in L2), which is exactly where
@@ -144,6 +143,19 @@ struct Algo {
   core::ShardedDetector::Factory (*factory)(std::size_t shards);
 };
 
+/// Median and quartiles of kReps samples (Mclicks/s).
+struct Spread {
+  double q1, median, q3;
+};
+
+Spread spread_of(std::vector<double> cps) {
+  std::sort(cps.begin(), cps.end());
+  const auto at = [&](double q) {
+    return cps[static_cast<std::size_t>(q * (cps.size() - 1) + 0.5)] / 1e6;
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,169 +170,112 @@ int main(int argc, char** argv) {
                         {"gbfblk", &gbf_blocked_factory},
                         {"tbf", &tbf_factory}};
   const std::size_t shard_counts[] = {1, 4, 16, 64};
-  std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
+  std::vector<std::size_t> thread_counts = {1, 2, 3, 4};
   if (args.threads > 0) {
     thread_counts = {static_cast<std::size_t>(args.threads)};
   }
+  // Five passes per arm: enough for a median and quartiles that hold
+  // still on a shared host.
+  constexpr int kReps = 5;
 
   benchutil::JsonSeriesWriter json("sharded_throughput", args.json);
-  // Host metadata rides in the JSON header: throughput and speedup numbers
-  // are only comparable against a baseline recorded on the same class of
-  // machine, and the engine-vs-mutex gain in particular is meaningless on
-  // a single-hardware-thread box.
+  // Host metadata rides in the JSON header: throughput and fan-out speedup
+  // numbers are only comparable against a baseline recorded on the same
+  // class of machine.
   json.set_meta("hw_threads",
                 static_cast<double>(runtime::ThreadPool::hardware_threads()));
   json.set_meta("cpu_model", benchutil::cpu_model_string());
+  json.set_meta("reps", static_cast<double>(kReps));
   std::printf("sharded ingestion: %zu clicks, batch=%zu, gbf window=%llu, "
-              "tbf window=%llu (hardware threads: %zu, simd: %s, "
+              "tbf window=%llu, %d reps (hardware threads: %zu, simd: %s, "
               "detected: %s)\n\n",
               ids.size(), kBatch,
               static_cast<unsigned long long>(kGbfWindow),
-              static_cast<unsigned long long>(kTbfWindow),
+              static_cast<unsigned long long>(kTbfWindow), kReps,
               runtime::ThreadPool::hardware_threads(),
               hashing::simd::level_name(hashing::simd::active_level()),
               hashing::simd::level_name(hashing::simd::detected_level()));
-  // batch-s = batch path with the SIMD kernels pinned to their scalar arm
-  // (the PR-1 hash stage); batch = default dispatch; engine = the SPSC
-  // owner engine (default dispatch). The last column is the row's gain
-  // over its reference arm: batch over batch-s (the vectorized hash
-  // stage's contribution alone), engine over batch (the lock-free
-  // engine's contribution alone — same SIMD level, same memory traffic).
+  // Medians. The last column is the row's gain over its reference arm:
+  // batch over batch-s (the vectorized hash stage's contribution alone).
   std::printf("%6s %7s %8s %8s %12s %9s %9s\n", "algo", "shards", "mode",
               "threads", "Mclicks/s", "speedup", "gain");
   benchutil::print_rule(6, 9);
 
-  // Regression-floor violations (engine < 1.3× mutex batch at threads ≥ 4)
-  // collected across the sweep; asserted at exit so one bad cell fails CI.
-  std::vector<std::string> floor_violations;
-  const bool check_floor = runtime::ThreadPool::hardware_threads() >= 4;
-  if (!check_floor) {
-    std::printf("note: %zu hardware thread(s) — the engine-vs-mutex floor "
-                "(engine >= 1.3x batch at threads >= 4) is recorded but not "
-                "asserted; owner threads cannot run in parallel here.\n\n",
-                runtime::ThreadPool::hardware_threads());
-  }
-
   for (const Algo& algo : algos) {
     for (const std::size_t shards : shard_counts) {
-      // Baseline: mutex-per-offer on one thread — today's upstream path.
-      // Best-of-3 timed passes (each from a reset filter, so every rep
-      // ingests the identical workload) on both sides: this box is a
-      // shared-host VM and single-pass numbers wobble ±10%.
-      constexpr int kReps = 3;
-      double offer_cps = 0;
+      // Baseline: mutex-per-offer on one thread. Each pass starts from a
+      // reset filter, so every rep ingests the identical workload.
+      std::vector<double> offer_cps;
       {
         core::ShardedDetector d(shards, algo.factory(shards));
         run_offer(d, ids);  // warm up filters + caches, then measure
         for (int rep = 0; rep < kReps; ++rep) {
           d.reset();
-          offer_cps = std::max(offer_cps, run_offer(d, ids));
+          offer_cps.push_back(run_offer(d, ids));
         }
       }
+      const Spread offer = spread_of(offer_cps);
       std::printf("%6s %7zu %8s %8d %12.3f %9.2f %9s\n", algo.name, shards,
-                  "offer", 1, offer_cps / 1e6, 1.0, "-");
+                  "offer", 1, offer.median, 1.0, "-");
       json.add(algo.name, {{"shards", static_cast<double>(shards)},
                            {"mode_batch", 0},
                            {"simd", 0},
                            {"threads", 1},
                            {"clicks", static_cast<double>(ids.size())},
-                           {"mclicks_per_s", offer_cps / 1e6},
+                           {"mclicks_per_s", offer.median},
+                           {"mclicks_per_s_q1", offer.q1},
+                           {"mclicks_per_s_q3", offer.q3},
                            {"speedup_vs_mutex_offer", 1.0}});
 
       for (const std::size_t threads : thread_counts) {
-        core::ShardedDetector d(
-            shards, algo.factory(shards),
-            {.threads = threads,
-             .engine = core::ShardedDetector::EngineMode::kMutex});
-        core::ShardedDetector e(
-            shards, algo.factory(shards),
-            {.threads = threads,
-             .engine = core::ShardedDetector::EngineMode::kSpscOwner});
-        run_batch(d, ids);  // warm up filters + caches once for all arms
-        run_batch(e, ids);
+        core::ShardedDetector d(shards, algo.factory(shards),
+                                {.threads = threads});
+        run_batch(d, ids);  // warm up filters + caches once for both arms
 
-        // Three arms, INTERLEAVED rep-by-rep so the shared-host clock
-        // drift (turbo decay / CPU-credit burn over an 8-minute run) hits
-        // all equally — arm-after-arm ordering showed a phantom ±10% skew
-        // on whichever arm ran second:
-        //   scalar — hash kernels pinned to their scalar arm: exactly the
-        //            PR-1 pipeline, the reference the SIMD gain is quoted
-        //            over;
-        //   simd   — default dispatch (AVX2 cap; see simd::active_level);
-        //   engine — the SPSC owner engine, default dispatch: its gain
-        //            over `simd` isolates the mutex-vs-lock-free delta.
-        double scalar_cps = 0;
-        double batch_cps = 0;
-        double engine_cps = 0;
+        std::vector<double> scalar_cps;
+        std::vector<double> batch_cps;
         for (int rep = 0; rep < kReps; ++rep) {
           hashing::simd::set_level_override(hashing::simd::Level::kScalar);
           d.reset();
-          scalar_cps = std::max(scalar_cps, run_batch(d, ids));
+          scalar_cps.push_back(run_batch(d, ids));
           hashing::simd::clear_level_override();
           d.reset();
-          batch_cps = std::max(batch_cps, run_batch(d, ids));
-          e.reset();
-          engine_cps = std::max(engine_cps, run_batch(e, ids));
+          batch_cps.push_back(run_batch(d, ids));
         }
+        const Spread scalar = spread_of(scalar_cps);
+        const Spread batch = spread_of(batch_cps);
 
-        const double scalar_speedup = scalar_cps / offer_cps;
-        const double speedup = batch_cps / offer_cps;
-        const double simd_gain = batch_cps / scalar_cps;
-        const double engine_gain = engine_cps / batch_cps;
+        const double scalar_speedup = scalar.median / offer.median;
+        const double speedup = batch.median / offer.median;
+        const double simd_gain = batch.median / scalar.median;
         std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9s\n", algo.name,
-                    shards, "batch-s", threads, scalar_cps / 1e6,
+                    shards, "batch-s", threads, scalar.median,
                     scalar_speedup, "1.00");
         std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9.2f\n", algo.name,
-                    shards, "batch", threads, batch_cps / 1e6, speedup,
+                    shards, "batch", threads, batch.median, speedup,
                     simd_gain);
-        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9.2f\n", algo.name,
-                    shards, "engine", threads, engine_cps / 1e6,
-                    engine_cps / offer_cps, engine_gain);
         json.add(algo.name, {{"shards", static_cast<double>(shards)},
                              {"mode_batch", 1},
                              {"simd", 0},
-                             {"engine", 0},
                              {"threads", static_cast<double>(threads)},
                              {"clicks", static_cast<double>(ids.size())},
-                             {"mclicks_per_s", scalar_cps / 1e6},
+                             {"mclicks_per_s", scalar.median},
+                             {"mclicks_per_s_q1", scalar.q1},
+                             {"mclicks_per_s_q3", scalar.q3},
                              {"speedup_vs_mutex_offer", scalar_speedup}});
         json.add(algo.name, {{"shards", static_cast<double>(shards)},
                              {"mode_batch", 1},
                              {"simd", 1},
-                             {"engine", 0},
                              {"threads", static_cast<double>(threads)},
                              {"clicks", static_cast<double>(ids.size())},
-                             {"mclicks_per_s", batch_cps / 1e6},
+                             {"mclicks_per_s", batch.median},
+                             {"mclicks_per_s_q1", batch.q1},
+                             {"mclicks_per_s_q3", batch.q3},
                              {"speedup_vs_mutex_offer", speedup},
                              {"simd_gain_vs_scalar_batch", simd_gain}});
-        json.add(algo.name, {{"shards", static_cast<double>(shards)},
-                             {"mode_batch", 1},
-                             {"simd", 1},
-                             {"engine", 1},
-                             {"threads", static_cast<double>(threads)},
-                             {"clicks", static_cast<double>(ids.size())},
-                             {"mclicks_per_s", engine_cps / 1e6},
-                             {"speedup_vs_mutex_offer",
-                              engine_cps / offer_cps},
-                             {"engine_gain_vs_mutex_batch", engine_gain}});
-        if (check_floor && threads >= 4 && engine_gain < 1.3) {
-          char buf[128];
-          std::snprintf(buf, sizeof(buf),
-                        "%s shards=%zu threads=%zu: engine %.2fx mutex "
-                        "batch (floor 1.30x)",
-                        algo.name, shards, threads, engine_gain);
-          floor_violations.emplace_back(buf);
-        }
       }
     }
   }
   json.write();
-  if (!floor_violations.empty()) {
-    std::fprintf(stderr, "\nengine regression floor FAILED:\n");
-    for (const auto& v : floor_violations) {
-      std::fprintf(stderr, "  %s\n", v.c_str());
-    }
-    return 1;
-  }
   return 0;
 }

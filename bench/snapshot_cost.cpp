@@ -1,13 +1,12 @@
 // Snapshot cost: what a checkpoint actually costs the serving path.
 //
 // Sweeps filter memory over {2^20, 2^23, 2^26} bits (scaled by --scale) for
-// every snapshot-capable layer — GBF, TBF, ShardedDetector in mutex and
-// engine mode (the engine arm pays an extra in-band quiesce of its owner
-// threads), and a 64-ad DetectorPool — and measures:
+// every snapshot-capable layer — GBF, TBF, ShardedDetector, and a 64-ad
+// DetectorPool — and measures:
 //   * save_us / restore_us — in-memory serialize/deserialize wall time
 //     (best of 5, after warming the filter to a realistic fill);
 //   * bytes — the serialized size, CRC envelope included;
-//   * file_us — for the sharded arms, IngestServer::save_sink_snapshot's
+//   * file_us — for the sharded arm, IngestServer::save_sink_snapshot's
 //     full atomic file protocol (temp + write + fsync + rename), i.e. what
 //     a SIGTERM drain adds before the process may exit.
 // The checked-in BENCH_snapshot_cost.json is this bench's output; a PR that
@@ -167,25 +166,15 @@ int main(int argc, char** argv) {
                       },
                       window));
 
-    const auto make_sharded = [&](core::ShardedDetector::EngineMode mode) {
-      return [&, mode] {
-        core::ShardedDetector::Options opts;
-        opts.engine = mode;
-        opts.threads = kOwners;
-        return std::make_unique<core::ShardedDetector>(
-            kShards, shard_factory(bits), opts);
-      };
+    const auto make_sharded = [&] {
+      core::ShardedDetector::Options opts;
+      opts.threads = kOwners;
+      return std::make_unique<core::ShardedDetector>(
+          kShards, shard_factory(bits), opts);
     };
-    report("sharded", measure(make_sharded(
-                                  core::ShardedDetector::EngineMode::kMutex),
-                              window));
-    // Engine arm: same bytes, plus the in-band owner-thread quiesce on
-    // every save.
-    report("engine", measure(make_sharded(
-                                 core::ShardedDetector::EngineMode::kSpscOwner),
-                             window));
+    report("sharded", measure(make_sharded, window));
 
-    // Drain-time file protocol on the mutex sharded arm (fsync dominates
+    // Drain-time file protocol on the sharded arm (fsync dominates
     // at small sizes — that is the point of recording it).
     {
       core::ShardedDetector d(kShards, shard_factory(bits));

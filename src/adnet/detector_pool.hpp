@@ -15,11 +15,8 @@
 // offer_batch upholds that contract structurally (each ad's group is one
 // task); callers mixing concurrent offer() calls must either partition ads
 // across threads or install thread-safe detectors via the factory (e.g.
-// core::ShardedDetector). With ENGINE-mode ShardedDetectors (see
-// sharded_engine_factory below) every per-ad detector is individually
-// thread-safe — offers become ring posts to the ad's owner threads — so
-// concurrent offer() for the same ad is fine and the pool's batch path is
-// a pure producer: its tasks never take a shard lock, only lease lanes.
+// core::ShardedDetector, whose per-shard mutexes make it individually
+// thread-safe).
 #pragma once
 
 #include <algorithm>
@@ -35,7 +32,6 @@
 #include <vector>
 
 #include "core/duplicate_detector.hpp"
-#include "core/sharded_detector.hpp"
 #include "core/snapshot_io.hpp"
 #include "hashing/hash_common.hpp"
 #include "runtime/thread_pool.hpp"
@@ -283,9 +279,7 @@ class DetectorPool {
   /// section (core/snapshot_io.hpp `kPoolMagic`): ad ids in ascending order,
   /// each followed by its detector's nested save(). Holds the pool's read
   /// lock for the duration; the per-ad detectors must not be receiving
-  /// concurrent offers (same contract as evict()) unless they are
-  /// individually thread-safe AND quiesce in save() (engine-mode
-  /// ShardedDetectors do).
+  /// concurrent offers (same contract as evict()).
   void save(std::ostream& out) const {
     std::ostringstream payload(std::ios::binary);
     {
@@ -362,37 +356,5 @@ class DetectorPool {
       detectors_;
   std::size_t memory_bits_ = 0;
 };
-
-/// Wraps a per-shard detector factory into a DetectorPool factory that
-/// builds an ENGINE-mode core::ShardedDetector per ad: each ad's clicks are
-/// partitioned over `shards` inner detectors drained by `owner_threads`
-/// lock-free owner threads, making the per-ad detector individually
-/// thread-safe (concurrent offer()/offer_batch() for one ad is allowed).
-///
-/// Every pooled ad spawns its own owner threads, so this is sized for a
-/// HANDFUL of hot ads (the premium campaigns whose click rate saturates one
-/// core), not for a long tail — give tail ads a plain single-threaded
-/// factory and a second pool. `shard_factory(ad_id, shard)` builds the
-/// inner detector; size count-based windows at window / shards.
-inline DetectorPool::Factory sharded_engine_factory(
-    std::function<std::unique_ptr<core::DuplicateDetector>(
-        std::uint32_t ad_id, std::size_t shard)>
-        shard_factory,
-    std::size_t shards, std::size_t owner_threads) {
-  if (!shard_factory) {
-    throw std::invalid_argument(
-        "sharded_engine_factory: shard_factory required");
-  }
-  return [shard_factory = std::move(shard_factory), shards,
-          owner_threads](std::uint32_t ad_id) {
-    core::ShardedDetector::Options opts;
-    opts.threads = owner_threads;
-    opts.engine = core::ShardedDetector::EngineMode::kSpscOwner;
-    return std::make_unique<core::ShardedDetector>(
-        shards,
-        [&](std::size_t shard) { return shard_factory(ad_id, shard); },
-        opts);
-  };
-}
 
 }  // namespace ppc::adnet

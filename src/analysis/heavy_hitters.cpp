@@ -121,9 +121,11 @@ void SpaceSaving::restore(std::istream& in) {
     if (buckets_.empty() || buckets_.back().count != e.count) {
       buckets_.push_back(Bucket{e.count, {}});
     }
+    // Append in saved order: the in-bucket order picks eviction victims,
+    // so a restored summary must keep it to evolve like the original.
     auto bucket = std::prev(buckets_.end());
-    bucket->items.push_front(e);
-    index_[e.key] = bucket->items.begin();
+    bucket->items.push_back(e);
+    index_[e.key] = std::prev(bucket->items.end());
     bucket_of_[e.key] = bucket;
   }
   stream_length_ = stream_length;

@@ -89,7 +89,7 @@ class DuplicateDetector {
   /// Whether offer()/offer_batch() may be called from several threads
   /// concurrently. The paper detectors (GBF/TBF/SBF) are single-threaded
   /// filters and say no; ShardedDetector serializes internally (per-shard
-  /// locks or the owner-pinned engine) and overrides this to yes. Callers
+  /// locks) and overrides this to yes. Callers
   /// that fan ingest across threads (the multi-loop server) consult this
   /// to decide whether offers need external serialization.
   virtual bool concurrent_offers() const noexcept { return false; }

@@ -5,12 +5,11 @@
 // branch-cheap (one predictable null check per site). Each statistic is a
 // RelaxedCounter — a uint64 whose increments are relaxed std::atomic RMWs —
 // so accounting is race-free under every driving pattern the library
-// supports: the mutex path (writes serialized by the shard lock), the
-// lock-free engine path (a shard's counter has a single writer, its owner
-// thread, but is folded by op_totals() from another thread), and ad-hoc
-// concurrent offer() callers sharing one detector. Relaxed ordering adds no
-// fence; the cross-thread visibility op_totals() needs comes from the
-// engine's completion handshake, not from the counters themselves.
+// supports: ShardedDetector (writes serialized by the shard lock, folded
+// by op_totals() under the same lock) and ad-hoc concurrent offer()
+// callers sharing one detector. Relaxed ordering adds no fence; the
+// cross-thread visibility op_totals() needs comes from the shard mutexes,
+// not from the counters themselves.
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,5 @@
 #include "core/sharded_detector.hpp"
 
-#include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,9 +25,7 @@ struct BatchScratch {
 
 /// Leases one scratch per nesting level (a ShardedDetector whose shards
 /// are themselves ShardedDetectors re-enters offer_batch on the same
-/// thread — and in engine mode an OWNER thread draining an outer shard
-/// becomes a PRODUCER for the inner engine, re-entering here too), so the
-/// buffers are reused across batches but never aliased.
+/// thread), so the buffers are reused across batches but never aliased.
 class ScratchLease {
  public:
   ScratchLease() {
@@ -60,34 +54,7 @@ class ScratchLease {
   BatchScratch* scratch_;
 };
 
-bool engine_default_from_env() noexcept {
-  const char* v = std::getenv("PPC_ENGINE_DEFAULT");
-  if (v == nullptr) return false;
-  // Accept the obvious spellings of "yes"; anything else means mutex.
-  char buf[8] = {};
-  for (std::size_t i = 0; i < sizeof(buf) - 1 && v[i] != '\0'; ++i) {
-    buf[i] = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(v[i])));
-  }
-  return std::strcmp(buf, "1") == 0 || std::strcmp(buf, "on") == 0 ||
-         std::strcmp(buf, "true") == 0 || std::strcmp(buf, "yes") == 0;
-}
-
 }  // namespace
-
-bool ShardedDetector::engine_mode_enabled(EngineMode mode) noexcept {
-  switch (mode) {
-    case EngineMode::kMutex:
-      return false;
-    case EngineMode::kSpscOwner:
-      return true;
-    case EngineMode::kAuto:
-    default: {
-      static const bool env_default = engine_default_from_env();
-      return env_default;
-    }
-  }
-}
 
 ShardedDetector::ShardedDetector(std::size_t shards, const Factory& factory)
     : ShardedDetector(shards, factory, Options{}) {}
@@ -106,82 +73,13 @@ ShardedDetector::ShardedDetector(std::size_t shards, const Factory& factory,
   if (opts.threads == 0) {
     throw std::invalid_argument("ShardedDetector: threads must be >= 1");
   }
-  if (engine_mode_enabled(opts.engine)) {
-    runtime::ShardEngine::Options eng;
-    eng.shards = shards_.size();
-    eng.owners = opts.threads;  // ShardEngine clamps to the shard count
-    eng.pin_owners = opts.pin_owners;
-    eng.drain = &ShardedDetector::engine_drain;
-    eng.ctx = this;
-    engine_ = std::make_unique<runtime::ShardEngine>(eng);
-  } else if (opts.threads > 1) {
+  if (opts.threads > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(opts.threads);
   }
 }
 
-// Out of line so the ShardEngine joins its owners (which hold a raw `this`
-// as drain context) strictly before shards_ starts destructing.
-ShardedDetector::~ShardedDetector() { engine_.reset(); }
-
-void ShardedDetector::engine_drain(void* self,
-                                   const runtime::ShardEngineMsg& msg) {
-  auto* detector =
-      static_cast<ShardedDetector*>(self)->shards_[msg.shard].detector.get();
-  const std::span<const ClickId> ids(msg.keys, msg.count);
-  const std::span<bool> out(msg.out, msg.count);
-  if (msg.times != nullptr) {
-    detector->offer_batch(
-        ids, std::span<const std::uint64_t>(msg.times, msg.count), out);
-  } else {
-    detector->offer_batch(ids, out, msg.time_us);
-  }
-}
-
-void ShardedDetector::engine_submit(const std::uint32_t* active_shards,
-                                    std::size_t n_active,
-                                    const ClickId* bucketed,
-                                    const std::uint64_t* bucketed_times,
-                                    const std::size_t* offsets,
-                                    std::uint64_t time_us, bool* verdicts) {
-  const std::size_t lane = engine_->acquire_lane();
-  std::atomic<std::size_t> pending{n_active};
-  for (std::size_t t = 0; t < n_active; ++t) {
-    const std::uint32_t s = active_shards[t];
-    const std::size_t begin = offsets[s];
-    runtime::ShardEngineMsg msg;
-    msg.keys = bucketed + begin;
-    msg.times = bucketed_times != nullptr ? bucketed_times + begin : nullptr;
-    msg.out = verdicts + begin;
-    msg.done = &pending;
-    msg.time_us = time_us;
-    msg.shard = s;
-    msg.count = static_cast<std::uint32_t>(offsets[s + 1] - begin);
-    engine_->post(lane, engine_->owner_of(s), msg);
-  }
-  runtime::ShardEngine::wait(pending);
-  engine_->release_lane(lane);
-}
-
 bool ShardedDetector::do_offer(ClickId id, std::uint64_t time_us) {
   const std::size_t s = shard_of(id);
-  if (engine_ != nullptr) {
-    // A single click is a one-message batch: lane lease, post, wait. The
-    // id/verdict live on this frame, which outlives the completion wait.
-    bool verdict = false;
-    std::atomic<std::size_t> pending{1};
-    runtime::ShardEngineMsg msg;
-    msg.keys = &id;
-    msg.out = &verdict;
-    msg.done = &pending;
-    msg.time_us = time_us;
-    msg.shard = static_cast<std::uint32_t>(s);
-    msg.count = 1;
-    const std::size_t lane = engine_->acquire_lane();
-    engine_->post(lane, engine_->owner_of(s), msg);
-    runtime::ShardEngine::wait(pending);
-    engine_->release_lane(lane);
-    return verdict;
-  }
   Shard& shard = shards_[s];
   const std::lock_guard<std::mutex> lock(shard.mutex);
   return shard.detector->offer(id, time_us);
@@ -206,15 +104,6 @@ void ShardedDetector::offer_batch_impl(std::span<const ClickId> ids,
   if (n == 0) return;
   const std::size_t shard_count = shards_.size();
   if (shard_count == 1) {
-    if (engine_ != nullptr) {
-      // No bucketization needed: hand the caller's spans straight to the
-      // single owner.
-      const std::uint32_t shard0 = 0;
-      const std::size_t offsets[2] = {0, n};
-      engine_submit(&shard0, 1, ids.data(), times, offsets, time_us,
-                    out.data());
-      return;
-    }
     Shard& shard = shards_.front();
     const std::lock_guard<std::mutex> lock(shard.mutex);
     if (times != nullptr) {
@@ -264,43 +153,33 @@ void ShardedDetector::offer_batch_impl(std::span<const ClickId> ids,
     }
   }
 
-  // Pass 3 — drain each shard's bucket. Engine mode: post the buckets to
-  // their owner threads' rings and wait (the scratch outlives the wait, so
-  // messages can reference it). Mutex mode: ONE lock acquisition per
-  // bucket through the inner pipelined batch path, optionally fanned out
-  // over the pool.
-  if (engine_ != nullptr) {
-    engine_submit(scratch.active.data(), scratch.active.size(),
-                  scratch.bucketed.data(),
-                  times != nullptr ? scratch.bucketed_times.data() : nullptr,
-                  scratch.offsets.data(), time_us,
-                  reinterpret_cast<bool*>(scratch.verdicts.data()));
-  } else {
-    auto drain_bucket = [&](std::size_t task) {
-      const std::uint32_t s = scratch.active[task];
-      const std::size_t begin = scratch.offsets[s];
-      const std::size_t count = scratch.offsets[s + 1] - begin;
-      Shard& shard = shards_[s];
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      const std::span<const ClickId> bucket_ids(
-          scratch.bucketed.data() + begin, count);
-      const std::span<bool> bucket_out(
-          reinterpret_cast<bool*>(scratch.verdicts.data()) + begin, count);
-      if (times != nullptr) {
-        shard.detector->offer_batch(
-            bucket_ids,
-            std::span<const std::uint64_t>(
-                scratch.bucketed_times.data() + begin, count),
-            bucket_out);
-      } else {
-        shard.detector->offer_batch(bucket_ids, bucket_out, time_us);
-      }
-    };
-    if (pool_ != nullptr && scratch.active.size() > 1) {
-      pool_->parallel_for_each(scratch.active.size(), drain_bucket);
+  // Pass 3 — drain each shard's bucket: ONE lock acquisition per bucket
+  // through the inner pipelined batch path, optionally fanned out over
+  // the pool.
+  auto drain_bucket = [&](std::size_t task) {
+    const std::uint32_t s = scratch.active[task];
+    const std::size_t begin = scratch.offsets[s];
+    const std::size_t count = scratch.offsets[s + 1] - begin;
+    Shard& shard = shards_[s];
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    const std::span<const ClickId> bucket_ids(
+        scratch.bucketed.data() + begin, count);
+    const std::span<bool> bucket_out(
+        reinterpret_cast<bool*>(scratch.verdicts.data()) + begin, count);
+    if (times != nullptr) {
+      shard.detector->offer_batch(
+          bucket_ids,
+          std::span<const std::uint64_t>(
+              scratch.bucketed_times.data() + begin, count),
+          bucket_out);
     } else {
-      for (std::size_t t = 0; t < scratch.active.size(); ++t) drain_bucket(t);
+      shard.detector->offer_batch(bucket_ids, bucket_out, time_us);
     }
+  };
+  if (pool_ != nullptr && scratch.active.size() > 1) {
+    pool_->parallel_for_each(scratch.active.size(), drain_bucket);
+  } else {
+    for (std::size_t t = 0; t < scratch.active.size(); ++t) drain_bucket(t);
   }
 
   // Pass 4 — gather verdicts back to caller order.
@@ -328,25 +207,6 @@ std::size_t ShardedDetector::memory_bits() const {
 
 void ShardedDetector::set_op_counter(OpCounter* ops) noexcept {
   ops_ = ops;
-  if (engine_ != nullptr) {
-    struct Ctx {
-      ShardedDetector* self;
-      OpCounter* ops;
-    } ctx{this, ops};
-    engine_->broadcast_control(
-        [](void* c, std::size_t owner) {
-          auto* ctx = static_cast<Ctx*>(c);
-          const auto [lo, hi] = ctx->self->engine_->owner_shard_range(owner);
-          for (std::size_t s = lo; s < hi; ++s) {
-            Shard& shard = ctx->self->shards_[s];
-            shard.ops.reset();
-            shard.detector->set_op_counter(ctx->ops != nullptr ? &shard.ops
-                                                               : nullptr);
-          }
-        },
-        &ctx);
-    return;
-  }
   for (Shard& s : shards_) {
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.ops.reset();
@@ -356,44 +216,20 @@ void ShardedDetector::set_op_counter(OpCounter* ops) noexcept {
 
 OpCounter ShardedDetector::op_totals() const {
   OpCounter total;
-  if (engine_ != nullptr) {
-    // Each owner folds its own shards into a private slot (single writer,
-    // like everything else it owns); the completion handshake publishes
-    // the slots back to this thread.
-    struct Ctx {
-      const ShardedDetector* self;
-      std::vector<OpCounter> per_owner;
-    } ctx{this, std::vector<OpCounter>(engine_->owner_count())};
-    engine_->broadcast_control(
-        [](void* c, std::size_t owner) {
-          auto* ctx = static_cast<Ctx*>(c);
-          const auto [lo, hi] = ctx->self->engine_->owner_shard_range(owner);
-          for (std::size_t s = lo; s < hi; ++s) {
-            ctx->per_owner[owner] += ctx->self->shards_[s].ops;
-          }
-        },
-        &ctx);
-    for (const OpCounter& part : ctx.per_owner) total += part;
-  } else {
-    for (const Shard& s : shards_) {
-      const std::lock_guard<std::mutex> lock(s.mutex);
-      total += s.ops;
-    }
+  for (const Shard& s : shards_) {
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    total += s.ops;
   }
   if (ops_ != nullptr) *ops_ = total;
   return total;
 }
 
 void ShardedDetector::save(std::ostream& out) const {
-  if (engine_ != nullptr) {
-    // In-band barrier: every batch posted before this call is drained and
-    // the owners' release/acquire completion handshake makes all their
-    // shard writes visible to this thread before we read a single bit.
-    engine_->quiesce();
-  }
   std::ostringstream payload(std::ios::binary);
   detail::write_u64(payload, shards_.size());
-  detail::write_u64(payload, engine_ != nullptr ? 1 : 0);
+  // Engine-flag word, always 0: kept so the format stays byte-identical
+  // (restore still accepts 1).
+  detail::write_u64(payload, 0);
   const WindowSpec agg = window();
   detail::write_u64(payload, static_cast<std::uint64_t>(agg.kind));
   detail::write_u64(payload, static_cast<std::uint64_t>(agg.basis));
@@ -401,12 +237,8 @@ void ShardedDetector::save(std::ostream& out) const {
   detail::write_u64(payload, agg.subwindows);
   detail::write_u64(payload, agg.time_unit_us);
   for (const Shard& s : shards_) {
-    if (engine_ != nullptr) {
-      s.detector->save(payload);  // owners quiesced above; no lock to take
-    } else {
-      const std::lock_guard<std::mutex> lock(s.mutex);
-      s.detector->save(payload);
-    }
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    s.detector->save(payload);
   }
   detail::write_section(out, detail::kShardedMagic, payload.str());
   if (!out) throw std::runtime_error("ShardedDetector::save: write failed");
@@ -429,9 +261,10 @@ void ShardedDetector::restore(std::istream& in) {
     throw std::runtime_error(
         "ShardedDetector::restore: corrupt engine-mode flag");
   }
-  // The engine flag is informational (verdicts are bit-identical across
-  // modes), but the window must match: a count window of a different
-  // aggregate length or a different basis silently changes every verdict.
+  // The engine flag (1 = written by the retired lock-free engine) is
+  // informational: verdicts never depended on it. The window must match:
+  // a count window of a different aggregate length or a different basis
+  // silently changes every verdict.
   WindowSpec saved;
   const std::uint64_t kind = detail::read_u64(ps);
   const std::uint64_t basis = detail::read_u64(ps);
@@ -454,20 +287,10 @@ void ShardedDetector::restore(std::istream& in) {
         "] does not match this instance [" + agg.describe() + "]");
   }
 
-  if (engine_ != nullptr) {
-    // Drain in-flight batches before overwriting shard state. Our writes
-    // below are published to the owner threads by the release/acquire ring
-    // handshake of the next posted batch.
-    engine_->quiesce();
-  }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     try {
-      if (engine_ != nullptr) {
-        shards_[s].detector->restore(ps);
-      } else {
-        const std::lock_guard<std::mutex> lock(shards_[s].mutex);
-        shards_[s].detector->restore(ps);
-      }
+      const std::lock_guard<std::mutex> lock(shards_[s].mutex);
+      shards_[s].detector->restore(ps);
     } catch (const std::exception& e) {
       throw std::runtime_error("ShardedDetector::restore: shard " +
                                std::to_string(s) + ": " + e.what());
@@ -480,19 +303,6 @@ void ShardedDetector::restore(std::istream& in) {
 }
 
 void ShardedDetector::reset() {
-  if (engine_ != nullptr) {
-    engine_->broadcast_control(
-        [](void* c, std::size_t owner) {
-          auto* self = static_cast<ShardedDetector*>(c);
-          const auto [lo, hi] = self->engine_->owner_shard_range(owner);
-          for (std::size_t s = lo; s < hi; ++s) {
-            self->shards_[s].detector->reset();
-            self->shards_[s].ops.reset();
-          }
-        },
-        this);
-    return;
-  }
   for (Shard& s : shards_) {
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.detector->reset();

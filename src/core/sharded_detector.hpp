@@ -2,31 +2,15 @@
 //
 // Click identifiers are partitioned across S inner detectors by a hash of
 // the identifier; identical clicks always land on the same shard, so the
-// zero-false-negative guarantee is preserved. TWO synchronization designs
-// share the same public API and produce bit-identical verdicts:
-//
-//  * MUTEX mode (Options::engine = kMutex, the default): each shard has
-//    its own mutex. offer() takes one lock per click; offer_batch()
-//    bucketizes a micro-batch by shard in one counting-sort pass, drains
-//    each bucket under a SINGLE lock acquisition through the inner
-//    pipelined offer_batch, and optionally fans the buckets out across an
-//    internal ThreadPool (Options::threads > 1).
-//  * ENGINE mode (Options::engine = kSpscOwner): the lock-free
-//    single-writer design. Options::threads long-lived OWNER threads are
-//    each pinned to a contiguous shard range and are the only threads
-//    that ever touch those shards — there is no mutex and no atomic RMW
-//    on the filter data path. Producers (offer/offer_batch callers) post
-//    shard-bucketized runs into per-lane SPSC rings
-//    (runtime::spsc_ring.hpp) and wait on a completion counter; control
-//    operations (reset, counter install/fold) broadcast in-band through
-//    the same rings, so they are totally ordered with surrounding batches.
-//    Per-key order is preserved because a key always routes to the same
-//    owner; verdicts are therefore bit-identical to the mutex path and to
-//    a sequential replay (tests/engine_equivalence_test.cpp), including
-//    time-based windows via the per-click-timestamp offer_batch overload.
-//    kAuto defers the choice to the PPC_ENGINE_DEFAULT environment
-//    variable (unset → mutex), which is how tools/check.sh runs the whole
-//    tier-1 suite once per mode.
+// zero-false-negative guarantee is preserved. Each shard has its own
+// mutex: offer() takes one lock per click; offer_batch() bucketizes a
+// micro-batch by shard in one counting-sort pass, drains each bucket under
+// a SINGLE lock acquisition through the inner pipelined offer_batch, and
+// optionally fans the buckets out across an internal ThreadPool
+// (Options::threads > 1). Within a shard the bucketization is stable, so
+// verdicts are bit-identical to a sequential replay at every thread count
+// (tests/parallel_batch_test.cpp), including time-based windows via the
+// per-click-timestamp offer_batch overload.
 //
 // Window semantics under sharding:
 //  * time-based windows: EXACT — expiry depends only on timestamps, which
@@ -40,12 +24,10 @@
 //
 // Op accounting under concurrency: set_op_counter() installs a PRIVATE
 // counter in every shard, padded to its own cache line so neighbouring
-// shards' owners never false-share an increment (see
+// shards' lanes never false-share an increment (see
 // bench/op_counter_falseshare.cpp); the caller's counter is only written
-// when op_totals() folds the per-shard counters together. In engine mode
-// both operations broadcast through the rings, so they serialize cleanly
-// with in-flight batches; in mutex mode read the totals after the offering
-// threads quiesce.
+// when op_totals() folds the per-shard counters together. Read the totals
+// after the offering threads quiesce.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +38,6 @@
 
 #include "core/duplicate_detector.hpp"
 #include "hashing/hash_common.hpp"
-#include "runtime/shard_engine.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace ppc::core {
@@ -66,25 +47,17 @@ class ShardedDetector final : public DuplicateDetector {
   using Factory =
       std::function<std::unique_ptr<DuplicateDetector>(std::size_t shard)>;
 
-  /// Synchronization design selector (see the header comment).
-  enum class EngineMode : std::uint8_t {
-    kAuto,       ///< PPC_ENGINE_DEFAULT env decides (unset → mutex path)
-    kMutex,      ///< per-shard mutexes + optional ThreadPool fan-out
-    kSpscOwner,  ///< lock-free owner-pinned SPSC ring engine
-  };
+  /// Vestigial: the mutex design is the only one. Kept, with its single
+  /// value, because perfbench/src/stacks.hpp still assigns Options::engine.
+  enum class EngineMode : std::uint8_t { kMutex };
 
   struct Options {
-    /// Mutex mode: total threads driving offer_batch fan-out (1 = process
-    /// the shard buckets sequentially on the calling thread; t > 1 spawns
-    /// an internal pool of t-1 workers that the caller joins per batch).
-    /// Engine mode: the number of long-lived owner threads (clamped to
-    /// the shard count; the caller is a pure producer). Must be ≥ 1.
+    /// Total threads driving offer_batch fan-out (1 = process the shard
+    /// buckets sequentially on the calling thread; t > 1 spawns an
+    /// internal pool of t-1 workers that the caller joins per batch).
+    /// Must be ≥ 1.
     std::size_t threads = 1;
-    EngineMode engine = EngineMode::kAuto;
-    /// Engine mode only: pin owner o to CPU o mod hardware_threads()
-    /// (runtime::ThreadPool::pin_current_thread) — the hook NUMA-aware
-    /// shard placement builds on.
-    bool pin_owners = false;
+    EngineMode engine = EngineMode::kMutex;  ///< unused; see EngineMode
   };
 
   /// @param shards   number of independent shards (≥ 1).
@@ -93,7 +66,6 @@ class ShardedDetector final : public DuplicateDetector {
   ///                 at N/shards.
   ShardedDetector(std::size_t shards, const Factory& factory);
   ShardedDetector(std::size_t shards, const Factory& factory, Options opts);
-  ~ShardedDetector() override;
 
   bool do_offer(ClickId id, std::uint64_t time_us) override;
   void offer_batch(std::span<const ClickId> ids, std::span<bool> out,
@@ -121,14 +93,13 @@ class ShardedDetector final : public DuplicateDetector {
   }
 
   /// Serializes every shard's detector into one versioned, CRC-checked
-  /// section (core/snapshot_io.hpp `kShardedMagic`). Engine mode quiesces
-  /// the owner threads first (in-band barrier), so it is safe to call from
-  /// a producer thread — but like op_totals(), concurrent offer() calls
-  /// from OTHER threads must have stopped.
+  /// section (core/snapshot_io.hpp `kShardedMagic`), each under its
+  /// shard's lock. Like op_totals(), concurrent offer() calls from OTHER
+  /// threads must have stopped for the snapshot to be one point in time.
   void save(std::ostream& out) const override;
 
   /// Restores state saved by save() into THIS instance. Refuses snapshots
-  /// whose shard count, engine mode, aggregate window, or inner detector
+  /// whose shard count, aggregate window, or inner detector
   /// options differ from this instance's construction parameters (the
   /// error names the mismatched dimension). Corrupt sections (bad magic /
   /// version / length / CRC / trailing bytes) throw std::runtime_error
@@ -139,25 +110,19 @@ class ShardedDetector final : public DuplicateDetector {
   /// Installs a per-shard counter in every inner detector; `ops` itself is
   /// only updated by op_totals() (see header comment).
   void set_op_counter(OpCounter* ops) noexcept override;
-  /// Folds the per-shard counters (under each shard's lock in mutex mode;
-  /// via an in-band control broadcast in engine mode) into one total,
-  /// copies it into the counter from set_op_counter if any, and returns it.
+  /// Folds the per-shard counters (each under its shard's lock) into one
+  /// total, copies it into the counter from set_op_counter if any, and
+  /// returns it.
   OpCounter op_totals() const;
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
-  /// Mutex mode: fan-out lanes (workers + caller). Engine mode: owner
-  /// threads.
+  /// Fan-out lanes (workers + caller).
   std::size_t thread_count() const noexcept {
-    if (engine_ != nullptr) return engine_->owner_count();
     return pool_ ? pool_->thread_count() : 1;
   }
-  /// Thread-safe in both synchronization designs: per-shard mutexes
-  /// serialize same-shard offers, and the owner engine leases a private
-  /// lane per producer thread.
+  /// Thread-safe: per-shard mutexes serialize same-shard offers.
   bool concurrent_offers() const noexcept override { return true; }
 
-  /// True when this instance runs the lock-free owner-pinned engine.
-  bool engine_mode() const noexcept { return engine_ != nullptr; }
   /// Which shard an identifier routes to (stable across calls).
   std::size_t shard_of(ClickId id) const noexcept {
     return static_cast<std::size_t>(
@@ -166,49 +131,30 @@ class ShardedDetector final : public DuplicateDetector {
         64);
   }
 
-  /// Resolves kAuto against the PPC_ENGINE_DEFAULT environment variable
-  /// ("1"/"on"/"true"/"yes", case-insensitive → engine). Read once per
-  /// process.
-  static bool engine_mode_enabled(EngineMode mode) noexcept;
-
  private:
-  /// Shared bucketize/fan-out/gather engine: `times` non-null scatters a
+  /// Shared bucketize/fan-out/gather path: `times` non-null scatters a
   /// per-click timestamp alongside every id and drains each bucket through
   /// the inner timed offer_batch; null stamps every bucket with `time_us`.
   void offer_batch_impl(std::span<const ClickId> ids,
                         const std::uint64_t* times, std::uint64_t time_us,
                         std::span<bool> out);
 
-  /// runtime::ShardEngine drain callback: runs on the owner thread that
-  /// exclusively owns msg.shard.
-  static void engine_drain(void* self, const runtime::ShardEngineMsg& msg);
-  /// Posts one batch message per active shard on a leased lane and waits
-  /// for completion.
-  void engine_submit(const std::uint32_t* active_shards, std::size_t n_active,
-                     const ClickId* bucketed, const std::uint64_t* bucketed_times,
-                     const std::size_t* offsets, std::uint64_t time_us,
-                     bool* verdicts);
-
   // One cache line per shard: the mutex and the detector pointer of
   // neighbouring shards must not false-share when different threads drive
   // different shards.
   struct alignas(64) Shard {
     std::unique_ptr<DuplicateDetector> detector;
-    mutable std::mutex mutex;  ///< mutex mode only; untouched by the engine
+    mutable std::mutex mutex;
     /// Private accounting sink (see set_op_counter), padded to its OWN
-    /// cache line: in engine mode each shard's owner bumps these on every
-    /// instrumented op while neighbouring shards' owners do the same, and
-    /// sharing a line would put a coherence miss in every increment
-    /// (bench/op_counter_falseshare.cpp measures the gap).
+    /// cache line: fan-out lanes draining neighbouring shards bump these
+    /// on every instrumented op, and sharing a line would put a coherence
+    /// miss in every increment (bench/op_counter_falseshare.cpp measures
+    /// the gap).
     alignas(64) OpCounter ops;
   };
 
   std::vector<Shard> shards_;
-  std::unique_ptr<runtime::ThreadPool> pool_;  ///< mutex mode, threads > 1
-  /// Engine mode only. Mutable because posting control messages mutates
-  /// ring state even for logically-const folds (op_totals). Declared last
-  /// so owners join before any shard state is destroyed.
-  mutable std::unique_ptr<runtime::ShardEngine> engine_;
+  std::unique_ptr<runtime::ThreadPool> pool_;  ///< threads > 1 only
 };
 
 }  // namespace ppc::core

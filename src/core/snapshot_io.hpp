@@ -3,7 +3,6 @@
 // std::runtime_error rather than silently wrong filter state.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -12,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "hashing/crc32.hpp"
 
 namespace ppc::core::detail {
 
@@ -87,9 +88,9 @@ inline void expect_magic(std::istream& in, std::uint64_t magic,
 //   u64 magic       section type (see the registry below)
 //   u64 version     format version, currently kSnapshotFormatVersion
 //   u64 byte_count  payload length in bytes
-//   u64 crc         CRC-32 (IEEE 0xEDB88320, same polynomial as the wire
-//                   protocol) of the payload bytes, stored in the low 32
-//                   bits; high 32 bits must be zero
+//   u64 crc         CRC-32 (hashing::crc32, the wire protocol's checksum)
+//                   of the payload bytes, stored in the low 32 bits; high
+//                   32 bits must be zero
 //   u8[byte_count]  payload
 // ---------------------------------------------------------------------------
 
@@ -109,29 +110,10 @@ inline constexpr std::uint64_t kSnapshotFormatVersion = 1;
 /// Hard cap on one section payload: 2 GiB, matching kMaxSnapshotWords.
 inline constexpr std::uint64_t kMaxSectionBytes = std::uint64_t{1} << 31;
 
-// CRC-32 (IEEE 0xEDB88320), compile-time table. Deliberately the same
-// checksum the wire protocol uses (src/server/wire.hpp) so one reference
-// implementation validates both; duplicated here because core cannot
-// depend on server.
-inline constexpr auto kSnapshotCrcTable = [] {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int b = 0; b < 8; ++b) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}();
-
-inline std::uint32_t snapshot_crc32(const char* data, std::size_t len) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = kSnapshotCrcTable[(c ^ static_cast<unsigned char>(data[i])) & 0xFF] ^
-        (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+/// Section checksum: the same CRC-32 the wire protocol uses.
+inline std::uint32_t section_crc32(const std::string& payload) {
+  return hashing::crc32({reinterpret_cast<const std::uint8_t*>(payload.data()),
+                         payload.size()});
 }
 
 /// Wraps `payload` in a section header (magic, version, length, CRC) and
@@ -141,7 +123,7 @@ inline void write_section(std::ostream& out, std::uint64_t magic,
   write_u64(out, magic);
   write_u64(out, kSnapshotFormatVersion);
   write_u64(out, payload.size());
-  write_u64(out, snapshot_crc32(payload.data(), payload.size()));
+  write_u64(out, section_crc32(payload));
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
@@ -186,7 +168,7 @@ inline std::string read_section(std::istream& in, std::uint64_t magic,
     throw std::runtime_error(std::string("snapshot: ") + what +
                              ": truncated section payload");
   }
-  if (snapshot_crc32(payload.data(), payload.size()) != stored_crc) {
+  if (section_crc32(payload) != stored_crc) {
     throw std::runtime_error(std::string("snapshot: ") + what +
                              ": checksum mismatch (corrupt snapshot)");
   }

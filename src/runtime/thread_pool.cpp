@@ -2,11 +2,6 @@
 
 #include <stdexcept>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace ppc::runtime {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -31,18 +26,6 @@ ThreadPool::~ThreadPool() {
 std::size_t ThreadPool::hardware_threads() noexcept {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
-}
-
-bool ThreadPool::pin_current_thread(std::size_t cpu) noexcept {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % hardware_threads()), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 void ThreadPool::run_lane(const TaskRef& fn, std::size_t tasks) noexcept {

@@ -69,14 +69,6 @@ class ThreadPool {
   /// std::thread::hardware_concurrency with a sane floor of 1.
   static std::size_t hardware_threads() noexcept;
 
-  /// Pins the CALLING thread to one CPU (`cpu` is taken modulo the CPU
-  /// count). Long-lived pinned workers — ShardEngine owners with
-  /// Options::pin_owners, and the NUMA-aware shard placement the ROADMAP
-  /// plans on top of them — use this so a shard's filter state stays on
-  /// the core (and eventually the node) that owns it. Returns false where
-  /// thread affinity is unsupported; callers treat that as a soft miss.
-  static bool pin_current_thread(std::size_t cpu) noexcept;
-
  private:
   void worker_loop();
   void run_lane(const TaskRef& fn, std::size_t tasks) noexcept;

@@ -2,12 +2,10 @@
 //
 // One thread owns the listener, every connection, and the epoll instance;
 // handlers run inline on that thread, so per-connection state needs no
-// locking and the loop thread can act as a single producer into the
-// lock-free shard engine (runtime/shard_engine.hpp). Multiple EventLoops
-// may serve one port concurrently by passing reuseport=true to listen():
-// each loop gets its own SO_REUSEPORT listener and the kernel spreads
-// accepted connections across them — loops share nothing, so the
-// one-thread-owns-everything invariant holds per loop. The only
+// locking. Multiple EventLoops may serve one port concurrently by passing
+// reuseport=true to listen(): each loop gets its own SO_REUSEPORT listener
+// and the kernel spreads accepted connections across them — loops share
+// nothing, so the one-thread-owns-everything invariant holds per loop. The only
 // cross-thread entry point is stop(), which is async-signal-safe (one
 // eventfd write) so a SIGTERM handler may call it directly.
 //

@@ -15,11 +15,10 @@
 //
 // The batch is flushed through a ClickSink once it reaches
 // Options::flush_clicks, and at the end of every dispatch round so latency
-// never exceeds one epoll iteration. With an engine-mode ShardedDetector
-// (or a DetectorPool of them) behind the sink, each loop thread is an
-// independent producer into the PR-3 SPSC rings — lane leasing gives every
-// producer its own lane, so multi-loop ingest adds no synchronization on
-// the filter path. Sinks that are NOT safe for concurrent offers
+// never exceeds one epoll iteration. With a ShardedDetector (or a
+// DetectorPool of them) behind the sink, loop threads offer concurrently
+// and only contend on the per-shard locks of the shards they share. Sinks
+// that are NOT safe for concurrent offers
 // (ClickSink::concurrent() == false) are serialized behind one mutex when
 // loops > 1; single-loop servers never touch that mutex.
 //
@@ -117,8 +116,8 @@ class ClickSink {
 };
 
 /// Feeds one detector shared by every ad (ad ids ignored) through the
-/// timed offer_batch — the natural sink for a single (possibly sharded,
-/// possibly engine-mode) detector serving one identifier population.
+/// timed offer_batch — the natural sink for a single (possibly sharded)
+/// detector serving one identifier population.
 class DetectorSink final : public ClickSink {
  public:
   explicit DetectorSink(core::DuplicateDetector& detector)

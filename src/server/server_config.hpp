@@ -36,9 +36,10 @@ struct DetectorConfig {
   /// agree on it bit-for-bit like every other field here.
   core::DetectorBackend backend = core::DetectorBackend::kAuto;
   std::size_t shards = 1;
-  std::size_t owners = 1;  ///< engine owner threads / mutex fan-out lanes
+  std::size_t owners = 1;  ///< ShardedDetector fan-out lanes
+  /// Unused; kept because perfbench/src/stacks.hpp still copies it.
   core::ShardedDetector::EngineMode engine =
-      core::ShardedDetector::EngineMode::kAuto;
+      core::ShardedDetector::EngineMode::kMutex;
 };
 
 /// Parses the --backend flag grammar shared by ppcd and ppc_loadgen.
@@ -137,7 +138,6 @@ inline std::unique_ptr<core::DuplicateDetector> build_detector(
   }
   core::ShardedDetector::Options opts;
   opts.threads = cfg.owners;
-  opts.engine = cfg.engine;
   return std::make_unique<core::ShardedDetector>(
       cfg.shards,
       [&](std::size_t) { return core::make_detector(shard_window, budget); },

@@ -2,7 +2,7 @@
 // parameter validation, the zero-false-negative guarantee inside the
 // covered window (count and time basis, against the validity oracle),
 // batch/sequential verdict parity, snapshot round-trips, factory wiring,
-// and sharded operation under both engines.
+// and sharded batch operation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -297,11 +297,10 @@ TEST(Apbf, RestoreRejectsCorruptAndTruncatedSnapshots) {
 
 // ----------------------------------------------------- sharded / factory
 
-TEST(Apbf, ShardedVerdictsAgreeAcrossEngines) {
-  const auto make_sharded = [](ShardedDetector::EngineMode mode) {
+TEST(Apbf, ShardedFanOutBatchesMatchSequentialOffers) {
+  const auto make_sharded = [](std::size_t threads) {
     ShardedDetector::Options o;
-    o.threads = 2;
-    o.engine = mode;
+    o.threads = threads;
     return std::make_unique<ShardedDetector>(
         4,
         [](std::size_t) {
@@ -310,20 +309,19 @@ TEST(Apbf, ShardedVerdictsAgreeAcrossEngines) {
         },
         o);
   };
-  auto mutexed = make_sharded(ShardedDetector::EngineMode::kMutex);
-  auto engined = make_sharded(ShardedDetector::EngineMode::kSpscOwner);
-  EXPECT_TRUE(mutexed->supports_snapshots());
+  auto sequential = make_sharded(1);
+  auto fanned = make_sharded(4);
+  EXPECT_TRUE(fanned->supports_snapshots());
   const auto ids = testutil::make_id_stream(20'000, 0.4, 1024, 21);
   constexpr std::size_t kBatch = 512;
-  bool out_a[kBatch], out_b[kBatch];
+  bool out[kBatch];
   for (std::size_t pos = 0; pos < ids.size(); pos += kBatch) {
     const std::size_t n = std::min(kBatch, ids.size() - pos);
-    mutexed->offer_batch(std::span<const ClickId>(ids).subspan(pos, n),
-                         std::span<bool>(out_a, n));
-    engined->offer_batch(std::span<const ClickId>(ids).subspan(pos, n),
-                         std::span<bool>(out_b, n));
+    fanned->offer_batch(std::span<const ClickId>(ids).subspan(pos, n),
+                        std::span<bool>(out, n));
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out_a[i], out_b[i]) << "click " << (pos + i);
+      ASSERT_EQ(out[i], sequential->offer(ids[pos + i]))
+          << "click " << (pos + i);
     }
   }
 }

@@ -29,7 +29,12 @@ namespace ppc {
 namespace {
 
 struct DetectorCase {
-  std::string label;
+  // Stored inline rather than as std::string: gtest has no printer for
+  // this struct, so it dumps the raw bytes of the parameter into every
+  // registered test name. A std::string would lead that dump with a heap
+  // pointer and make the names differ from build to build; inline
+  // characters keep them stable.
+  char label[32];
   std::function<std::unique_ptr<core::DuplicateDetector>()> make;
   // Number of filler arrivals that guarantees an id offered at arrival 0
   // has expired (window length + slack for jumping granularity).

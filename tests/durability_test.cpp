@@ -8,8 +8,8 @@
 //   2. TBF across its modulo-(N+C) wraparound-counter boundary — the
 //      regression the incremental stale scan must survive (an expired
 //      entry that aliases as fresh after restore is a billing bug);
-//   3. ShardedDetector in both synchronization designs (mutex and the
-//      lock-free owner engine), fed through the production batch path;
+//   3. ShardedDetector with and without batch fan-out, fed through the
+//      production batch path;
 //   4. DetectorPool with interleaved multi-ad timed batches;
 //   5. the full daemon: an IngestServer run over loopback, drained to a
 //      snapshot file, restarted from it, replaying the second half of the
@@ -239,13 +239,12 @@ TEST(TbfWraparoundDurability, StaleScanReclaimsExpiredEntriesAfterRestore) {
   }
 }
 
-// --- 3. ShardedDetector, both engine modes --------------------------------
+// --- 3. ShardedDetector, sequential and fanned-out batches ---------------
 
-MakeFn make_sharded(core::ShardedDetector::EngineMode mode) {
-  return [mode] {
+MakeFn make_sharded(std::size_t threads) {
+  return [threads] {
     core::ShardedDetector::Options opts;
-    opts.engine = mode;
-    opts.threads = 2;
+    opts.threads = threads;
     return std::make_unique<core::ShardedDetector>(
         4,
         [](std::size_t) {
@@ -260,8 +259,8 @@ MakeFn make_sharded(core::ShardedDetector::EngineMode mode) {
   };
 }
 
-class ShardedDurability
-    : public ::testing::TestWithParam<core::ShardedDetector::EngineMode> {};
+/// Parameter: ShardedDetector::Options::threads.
+class ShardedDurability : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ShardedDurability, BatchedResumeIsBitIdentical) {
   const MakeFn make = make_sharded(GetParam());
@@ -273,11 +272,10 @@ TEST_P(ShardedDurability, BatchedResumeIsBitIdentical) {
 }
 
 TEST_P(ShardedDurability, TimedBatchResumeIsBitIdentical) {
-  const auto mode = GetParam();
-  const MakeFn make = [mode] {
+  const std::size_t threads = GetParam();
+  const MakeFn make = [threads] {
     core::ShardedDetector::Options opts;
-    opts.engine = mode;
-    opts.threads = 2;
+    opts.threads = threads;
     return std::make_unique<core::ShardedDetector>(
         4,
         [](std::size_t) {
@@ -297,13 +295,8 @@ TEST_P(ShardedDurability, TimedBatchResumeIsBitIdentical) {
   }
 }
 
-// kAuto resolves via PPC_ENGINE_DEFAULT — this test is engine-sensitive
-// and runs in both defaults through tools/check.sh.
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ShardedDurability,
-    ::testing::Values(core::ShardedDetector::EngineMode::kAuto,
-                      core::ShardedDetector::EngineMode::kMutex,
-                      core::ShardedDetector::EngineMode::kSpscOwner));
+INSTANTIATE_TEST_SUITE_P(Threads, ShardedDurability,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 // --- 4. DetectorPool ------------------------------------------------------
 
@@ -422,7 +415,7 @@ TEST(DaemonDurability, ShardedSinkDrainRestartRestoreMatchesOracle) {
   cfg.window = WindowSpec::jumping_count(4096, 8);
   cfg.memory_bits = std::uint64_t{1} << 18;
   cfg.shards = 4;
-  cfg.owners = 2;  // kAuto: engine-sensitive, runs in both defaults
+  cfg.owners = 2;
   const auto clicks = make_clicks(1, 16'000, 41);
   const std::size_t half = clicks.size() / 2;
   const std::string path = ::testing::TempDir() + "/sharded_drain.snap";
@@ -740,6 +733,19 @@ TEST(PpcdCli, RestoreMissingFileFails) {
                          "/does_not_exist.snap");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("cannot open"), std::string::npos) << r.output;
+}
+
+TEST(PpcdCli, UnknownFlagsFailNamingTheFlag) {
+  // A retired flag and a misspelling must both be refused, not ignored in
+  // favour of a default.
+  for (const std::string bad : {"engine=on", "shard=4"}) {
+    const auto r = run_cmd("timeout 10 " + ppcd_bin() + kCliFlags + " --" +
+                           bad);
+    EXPECT_EQ(r.exit_code, 2) << bad;
+    EXPECT_NE(r.output.find("unknown flag --" + bad.substr(0, bad.find('='))),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 TEST(PpcdCli, RestoreMismatchedWindowFailsNamingWindow) {

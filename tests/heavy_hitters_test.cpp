@@ -107,6 +107,11 @@ TEST(SpaceSaving, SaveRestoreRoundTrip) {
   stream::Rng rng(6);
   for (int i = 0; i < 50'000; ++i) ss.offer(zipf.sample(rng));
 
+  const auto bytes_of = [](const SpaceSaving& s) {
+    std::ostringstream out(std::ios::binary);
+    s.save(out);
+    return out.str();
+  };
   std::stringstream snap(std::ios::binary | std::ios::in | std::ios::out);
   ss.save(snap);
   SpaceSaving restored(32);
@@ -114,27 +119,42 @@ TEST(SpaceSaving, SaveRestoreRoundTrip) {
 
   EXPECT_EQ(restored.stream_length(), ss.stream_length());
   EXPECT_EQ(restored.monitored(), ss.monitored());
-  // entries() order ties arbitrarily within equal counts, so compare the
-  // summaries as key → (count, error) maps.
+  // Byte-identical re-save: restore keeps the saved order WITHIN each
+  // count bucket, not just the key -> (count, error) content. That order
+  // picks the eviction victim, so a reordering restore would make a
+  // restored summary diverge from the original on the next new key.
+  EXPECT_EQ(bytes_of(restored), bytes_of(ss));
   auto as_map = [](const SpaceSaving& s) {
     std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> m;
     for (const auto& e : s.entries()) m[e.key] = {e.count, e.error};
     return m;
   };
   EXPECT_EQ(as_map(ss), as_map(restored));
-  // The restored summary keeps COUNTING correctly (buckets rebuilt, not
-  // just the flat entries). Min-count eviction ties may break differently
-  // after a restore, so assert on the Zipf head key — dominant enough that
-  // it is never evicted and its count/error must track exactly.
+
+  // A never-seen key forces an eviction; both summaries must drop the
+  // same victim.
+  constexpr std::uint64_t kNewKey = std::uint64_t{1} << 40;
+  const auto before = as_map(ss);
+  ss.offer(kNewKey);
+  restored.offer(kNewKey);
+  std::uint64_t victim_a = kNewKey;
+  std::uint64_t victim_b = kNewKey;
+  for (const auto& [key, ce] : before) {
+    if (!as_map(ss).contains(key)) victim_a = key;
+    if (!as_map(restored).contains(key)) victim_b = key;
+  }
+  ASSERT_NE(victim_a, kNewKey) << "the new key must evict someone";
+  EXPECT_EQ(victim_a, victim_b);
+
+  // The restored summary keeps COUNTING identically (buckets rebuilt, not
+  // just the flat entries): same stream in, same bytes out.
   for (int i = 0; i < 10'000; ++i) {
     const std::uint64_t key = zipf.sample(rng);
     ss.offer(key);
     restored.offer(key);
   }
   EXPECT_EQ(restored.stream_length(), ss.stream_length());
-  const auto head_a = as_map(ss).at(0);
-  const auto head_b = as_map(restored).at(0);
-  EXPECT_EQ(head_a, head_b);
+  EXPECT_EQ(bytes_of(restored), bytes_of(ss));
   EXPECT_EQ(ss.top(1).front().key, 0u);
   EXPECT_EQ(restored.top(1).front().key, 0u);
 }

@@ -2,12 +2,14 @@
 // 1..8 threads must yield verdicts bit-identical to the sequential
 // mutex-per-offer path (bucketization preserves within-shard order), for
 // every algorithm the DetectorFactory can select; zero-false-negatives
-// must hold end-to-end on an adversarial duplicate-heavy Zipf stream; and
-// DetectorPool's batch route path must match its sequential path while
-// being driven from pool worker threads.
+// must hold end-to-end on an adversarial duplicate-heavy Zipf stream and
+// under concurrent batch producers; and DetectorPool's batch route path
+// must match its sequential path while being driven from pool worker
+// threads, including over sharded per-ad detectors.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "analysis/validity_oracle.hpp"
@@ -186,6 +188,46 @@ TEST(ParallelBatch, ZeroFalseNegativesOnAdversarialZipfStream) {
   EXPECT_GT(counts.true_duplicate, 1000u);  // the stream really is adversarial
 }
 
+TEST(ParallelBatch, ConcurrentBatchProducersPreserveZeroFalseNegatives) {
+  // Many threads calling offer_batch on one fanned-out detector with
+  // disjoint id ranges: order across producers is arbitrary, but every id
+  // was offered once, so a full sequential re-offer must flag EVERY id as
+  // a duplicate (zero false negatives survive concurrency).
+  const auto factory = [](std::size_t) {
+    TimingBloomFilter::Options opts;
+    opts.entries = 1 << 14;
+    opts.hash_count = 5;
+    opts.seed = 9;
+    return std::make_unique<TimingBloomFilter>(
+        WindowSpec::sliding_time(5'000'000, 10'000), opts);
+  };
+  ShardedDetector d(kShards, factory, {.threads = 4});
+  constexpr std::size_t kProducers = 6;
+  constexpr std::size_t kPerProducer = 2000;
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&d, p] {
+      std::vector<ClickId> ids(kPerProducer);
+      for (std::size_t i = 0; i < kPerProducer; ++i) {
+        ids[i] = (p << 32) | (i + 1);
+      }
+      std::vector<char> buf(kPerProducer);
+      d.offer_batch(
+          std::span<const ClickId>(ids),
+          std::span<bool>(reinterpret_cast<bool*>(buf.data()), buf.size()),
+          1'000'000);
+    });
+  }
+  for (auto& t : producers) t.join();
+  std::size_t caught = 0;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::size_t i = 0; i < kPerProducer; ++i) {
+      caught += d.offer((p << 32) | (i + 1), 1'000'001) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(caught, kProducers * kPerProducer);
+}
+
 TEST(ParallelBatch, ShardedRejectsZeroThreads) {
   EXPECT_THROW(ShardedDetector(
                    2, factory_for(WindowSpec::sliding_count(4096)),
@@ -261,6 +303,54 @@ TEST(DetectorPoolBatch, MatchesSequentialRoutingAcrossWorkerThreads) {
     }
     EXPECT_EQ(batched.size(), sequential.size());
     EXPECT_EQ(batched.memory_bits(), sequential.memory_bits());
+  }
+}
+
+TEST(DetectorPoolBatch, ShardedPerAdDetectorsMatchSequential) {
+  // Every per-ad detector is a fanned-out ShardedDetector; the pool's
+  // timed batch path must match a sequential replay through unfanned ones.
+  const auto sharded_factory = [](std::size_t threads) {
+    return [threads](std::uint32_t ad) {
+      return std::make_unique<core::ShardedDetector>(
+          4,
+          [ad](std::size_t) {
+            core::TimingBloomFilter::Options opts;
+            opts.entries = 1 << 12;
+            opts.hash_count = 5;
+            opts.seed = 11 + ad;
+            return std::make_unique<core::TimingBloomFilter>(
+                core::WindowSpec::sliding_time(5'000'000, 10'000), opts);
+          },
+          core::ShardedDetector::Options{.threads = threads});
+    };
+  };
+  DetectorPool seq_pool(sharded_factory(1));
+  DetectorPool fan_pool(sharded_factory(2));
+
+  const std::size_t n = 10'000;
+  stream::Rng rng(88);
+  const auto ids = testutil::make_id_stream(n, 0.5, 2048, 808);
+  std::vector<std::uint32_t> ad_ids(n);
+  std::vector<std::uint64_t> times(n);
+  std::uint64_t t = 1'000'000;
+  for (std::size_t i = 0; i < n; ++i) {
+    ad_ids[i] = static_cast<std::uint32_t>(rng.below(3));
+    t += rng.chance(0.05) ? 10'000 * (1 + rng.below(30)) : rng.below(10'000);
+    times[i] = t;
+  }
+
+  std::vector<bool> expected(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    expected[i] = seq_pool.offer(ad_ids[i], ids[i], times[i]);
+  }
+  std::vector<char> buf(n);
+  fan_pool.offer_batch(
+      std::span<const std::uint32_t>(ad_ids),
+      std::span<const core::ClickId>(ids),
+      std::span<const std::uint64_t>(times),
+      std::span<bool>(reinterpret_cast<bool*>(buf.data()), buf.size()));
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(buf[i] != 0, expected[i]) << "diverged at " << i;
   }
 }
 

@@ -176,14 +176,11 @@ TEST(ServerE2E, TbfTimeWindowVerdictsMatchSequentialReplay) {
   }
 }
 
-// Engine-sensitive: a sharded per-ad detector under kAuto, so
-// PPC_ENGINE_DEFAULT=ON runs this very test over the lock-free SPSC engine
-// and the default run over the mutex path (tools/check.sh runs both).
-TEST(ServerE2E, ShardedEngineVerdictsMatchSequentialReplay) {
+// A sharded per-ad detector with batch fan-out behind the wire.
+TEST(ServerE2E, ShardedVerdictsMatchSequentialReplay) {
   DetectorConfig cfg = gbf_config();
   cfg.shards = 4;
   cfg.owners = 2;
-  cfg.engine = core::ShardedDetector::EngineMode::kAuto;
   LoopbackServer server(cfg);
   const auto clicks = make_clicks(1, 20'000, 13);
 
@@ -534,15 +531,14 @@ TEST(ServerE2E, GracefulDrainDeliversAllPendingVerdicts) {
 }
 
 // Multi-loop server (2 SO_REUSEPORT loops), six connections each with its
-// own ad, over an engine-sensitive sharded pool (kAuto: check.sh runs this
-// under both engine defaults). Whatever loop the kernel hands each
-// connection to, its verdict stream must match ITS OWN sequential replay,
-// and its DRAIN_ACK totals must be exact at the drain's stream position.
+// own ad, over a sharded pool with batch fan-out. Whatever loop the kernel
+// hands each connection to, its verdict stream must match ITS OWN
+// sequential replay, and its DRAIN_ACK totals must be exact at the drain's
+// stream position.
 TEST(ServerE2E, MultiLoopVerdictsPerAdExactWithExactDrainTotals) {
   DetectorConfig cfg = gbf_config();
   cfg.shards = 4;
   cfg.owners = 2;
-  cfg.engine = core::ShardedDetector::EngineMode::kAuto;
   IngestServer::Options opts;
   opts.loops = 2;
   LoopbackServer server(cfg, opts);

@@ -223,25 +223,18 @@ TEST(Snapshot, InstanceRestoreRejectsMismatchedParameters) {
 // ---------------------------------------------------------------------------
 
 /// Tiny sharded GBF so the full snapshot is ~1 KB and the per-byte fuzz
-/// loops stay fast. `threads` > 1 + kSpscOwner exercises the engine path.
+/// loops stay fast.
 std::unique_ptr<ShardedDetector> make_tiny_sharded(
-    std::size_t shards,
-    ShardedDetector::EngineMode mode = ShardedDetector::EngineMode::kMutex,
-    std::uint64_t window_len = 256, std::uint64_t seed = 9) {
-  ShardedDetector::Options opts;
-  opts.engine = mode;
-  opts.threads = mode == ShardedDetector::EngineMode::kSpscOwner ? 2 : 1;
-  return std::make_unique<ShardedDetector>(
-      shards,
-      [&](std::size_t) {
-        GroupBloomFilter::Options o;
-        o.bits_per_subfilter = 1 << 10;
-        o.hash_count = 3;
-        o.seed = seed;
-        return std::make_unique<GroupBloomFilter>(
-            WindowSpec::jumping_count(window_len / shards, 4), o);
-      },
-      opts);
+    std::size_t shards, std::uint64_t window_len = 256,
+    std::uint64_t seed = 9) {
+  return std::make_unique<ShardedDetector>(shards, [&](std::size_t) {
+    GroupBloomFilter::Options o;
+    o.bits_per_subfilter = 1 << 10;
+    o.hash_count = 3;
+    o.seed = seed;
+    return std::make_unique<GroupBloomFilter>(
+        WindowSpec::jumping_count(window_len / shards, 4), o);
+  });
 }
 
 std::string saved_bytes(DuplicateDetector& d) {
@@ -362,8 +355,7 @@ TEST(ShardedSnapshot, RejectsMismatchedInstanceOptions) {
     }
   }
   {  // window mismatch (different aggregate count length)
-    auto target = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex,
-                                    /*window_len=*/512);
+    auto target = make_tiny_sharded(2, /*window_len=*/512);
     std::stringstream in(bytes);
     try {
       target->restore(in);
@@ -374,8 +366,7 @@ TEST(ShardedSnapshot, RejectsMismatchedInstanceOptions) {
     }
   }
   {  // inner detector option mismatch (different seed) surfaces shard context
-    auto target = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex,
-                                    256, /*seed=*/10);
+    auto target = make_tiny_sharded(2, 256, /*seed=*/10);
     std::stringstream in(bytes);
     try {
       target->restore(in);
@@ -387,27 +378,34 @@ TEST(ShardedSnapshot, RejectsMismatchedInstanceOptions) {
   }
 }
 
-TEST(ShardedSnapshot, MutexSnapshotRestoresIntoEngineInstanceAndViceVersa) {
-  // The engine flag is informational — verdicts are bit-identical across
-  // modes, so a mutex-mode snapshot may seed an engine-mode instance.
-  auto mutex_inst = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex);
+TEST(ShardedSnapshot, EngineFlagSnapshotStillRestores) {
+  // Snapshots written by the retired lock-free engine carry engine flag 1
+  // (the payload's second word); the flag never affected verdicts, so
+  // they must still load. save() itself always writes 0.
+  auto source = make_tiny_sharded(2);
   const auto ids = testutil::make_id_stream(400, 0.3, 128, 7);
-  for (const auto id : ids) mutex_inst->offer(id);
-  const std::string bytes = saved_bytes(*mutex_inst);
+  for (const auto id : ids) source->offer(id);
+  const std::string bytes = saved_bytes(*source);
+  std::string payload = unwrap(detail::kShardedMagic, bytes, "flag");
+  std::uint64_t flag = ~0ull;
+  std::memcpy(&flag, payload.data() + 8, 8);
+  ASSERT_EQ(flag, 0u);
+  flag = 1;
+  std::memcpy(payload.data() + 8, &flag, 8);
 
-  auto engine_inst =
-      make_tiny_sharded(2, ShardedDetector::EngineMode::kSpscOwner);
-  std::stringstream in(bytes);
-  ASSERT_NO_THROW(engine_inst->restore(in));
+  auto target = make_tiny_sharded(2);
+  std::stringstream in(rewrap(detail::kShardedMagic, payload));
+  ASSERT_NO_THROW(target->restore(in));
+  EXPECT_EQ(saved_bytes(*target), bytes);  // re-saved with flag 0
   for (std::size_t i = 0; i < 200; ++i) {
     const ClickId id = ids[i % ids.size()];
-    ASSERT_EQ(engine_inst->offer(id), mutex_inst->offer(id)) << "click " << i;
+    ASSERT_EQ(target->offer(id), source->offer(id)) << "click " << i;
   }
 
-  const std::string engine_bytes = saved_bytes(*engine_inst);
-  auto mutex_back = make_tiny_sharded(2, ShardedDetector::EngineMode::kMutex);
-  std::stringstream back(engine_bytes);
-  ASSERT_NO_THROW(mutex_back->restore(back));
+  flag = 2;  // anything else is corruption
+  std::memcpy(payload.data() + 8, &flag, 8);
+  std::stringstream bad(rewrap(detail::kShardedMagic, payload));
+  EXPECT_THROW(target->restore(bad), std::runtime_error);
 }
 
 // --- DetectorPool composite format --------------------------------------

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "hashing/crc32.hpp"
 #include "server/ingest_server.hpp"
 #include "server/replication.hpp"
 #include "server/wire.hpp"
@@ -467,7 +468,12 @@ TEST(WireFuzz, SlicedCrcMatchesBytewiseReference) {
   // The slicing-by-8 kernel must be bit-identical to the canonical
   // byte-at-a-time IEEE CRC-32 at every length and alignment — lengths
   // around the 8-byte fold boundary and odd offsets are the cases a
-  // sliced implementation gets wrong first.
+  // sliced implementation gets wrong first. Wire frames and snapshot
+  // sections share this one implementation (hashing/crc32.hpp).
+  const std::string check = "123456789";  // the standard CRC-32 check value
+  EXPECT_EQ(hashing::crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                            check.size()}),
+            0xCBF43926u);
   stream::Rng rng(20260808);
   std::vector<std::uint8_t> data(4096 + 16);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
@@ -475,7 +481,7 @@ TEST(WireFuzz, SlicedCrcMatchesBytewiseReference) {
                                 63u, 64u, 65u, 255u, 1000u, 4096u}) {
     for (const std::size_t off : {0u, 1u, 3u, 5u, 7u}) {
       const std::span<const std::uint8_t> view(data.data() + off, len);
-      EXPECT_EQ(crc32(view), crc32_bytewise(view))
+      EXPECT_EQ(hashing::crc32(view), hashing::crc32_bytewise(view))
           << "len " << len << " offset " << off;
     }
   }
@@ -483,7 +489,7 @@ TEST(WireFuzz, SlicedCrcMatchesBytewiseReference) {
     const std::size_t len = rng.below(2048);
     const std::size_t off = rng.below(8);
     const std::span<const std::uint8_t> view(data.data() + off, len);
-    ASSERT_EQ(crc32(view), crc32_bytewise(view))
+    ASSERT_EQ(hashing::crc32(view), hashing::crc32_bytewise(view))
         << "len " << len << " offset " << off;
   }
 }

@@ -3,8 +3,8 @@
 //   ppc_loadgen --connect=127.0.0.1:4817 --connections=4 --clicks=1000000
 //               --batch=1024 [--inflight=4] [--seed=1] [--verify=on|off]
 //               [--window=... --memory-mib=... --hashes=... --backend=...
-//                --shards=... --owners=... --engine=...]
-//               (mirror of the ppcd flags)
+//                --shards=... --owners=...]
+//               (mirror of the ppcd flags; unknown flags exit 2)
 //
 // Each connection runs on its own thread: a deterministic Zipf click
 // stream (stream::MixedTrafficStream, seed = --seed + connection index,
@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -56,7 +55,11 @@
 #include "stream/click.hpp"
 #include "stream/generators.hpp"
 
+#include "cli_flags.hpp"
+
 using namespace ppc;
+using cli::flag;
+using cli::flag_u64;
 namespace wire = ppc::server::wire;
 
 namespace {
@@ -86,39 +89,10 @@ namespace {
       "                       and --inflight=1, the defaults in this mode;\n"
       "                       point it at a daemon running the same spec)\n"
       "  --window=SPEC --memory-mib=M --hashes=K --backend=B --shards=S\n"
-      "  --owners=T --engine=auto|on|off\n"
+      "  --owners=T\n"
       "                       mirror of the ppcd detector flags (oracle)\n",
       argv0);
   std::exit(2);
-}
-
-std::map<std::string, std::string> parse_flags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) != 0) {
-      usage(argv[0]);
-    }
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-std::string flag(const std::map<std::string, std::string>& flags,
-                 const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
-                       const std::string& key, std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
 }
 
 /// "k=v,k=v" → EnforcementPolicy — the SAME grammar ppcd's --enforce flag
@@ -317,7 +291,12 @@ double percentile(std::vector<double>& sorted, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = parse_flags(argc, argv);
+  const auto flags = cli::parse_flags(
+      argc, argv,
+      {"connect", "connections", "clicks", "batch", "inflight", "seed",
+       "verify", "sndbuf", "loops", "v2", "verify-enforce", "window",
+       "memory-mib", "hashes", "backend", "shards", "owners"},
+      usage);
   try {
     const std::string connect = flag(flags, "connect", "127.0.0.1:4817");
     const auto colon = connect.rfind(':');
@@ -366,14 +345,6 @@ int main(int argc, char** argv) {
     cfg.backend = server::parse_backend_spec(flag(flags, "backend", "auto"));
     cfg.shards = flag_u64(flags, "shards", 1);
     cfg.owners = flag_u64(flags, "owners", 1);
-    const std::string engine = flag(flags, "engine", "auto");
-    if (engine == "on") {
-      cfg.engine = core::ShardedDetector::EngineMode::kSpscOwner;
-    } else if (engine == "off") {
-      cfg.engine = core::ShardedDetector::EngineMode::kMutex;
-    } else if (engine != "auto") {
-      usage(argv[0]);
-    }
 
     // Pre-generate every connection's stream so generation cost is outside
     // the timed window.

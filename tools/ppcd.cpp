@@ -2,7 +2,7 @@
 //
 //   ppcd --listen=127.0.0.1:4817 --window=jumping:1048576:8 [--memory-mib=16]
 //        [--hashes=7] [--sink=pool|sharded|tiered] [--shards=8] [--owners=2]
-//        [--engine=auto|on|off] [--flush=16384] [--loops=N] [--sndbuf=BYTES]
+//        [--flush=16384] [--loops=N] [--sndbuf=BYTES]
 //        [--snapshot=PATH] [--restore=PATH] [--stats-interval=SECS]
 //
 // Serves the wire protocol of src/server/wire.hpp on --loops epoll threads,
@@ -10,8 +10,8 @@
 // --sink=pool (default) routes clicks by ad id through an
 // adnet::DetectorPool, creating one detector per ad on first sight;
 // --sink=sharded feeds every click into a single core::ShardedDetector
-// (use --shards/--owners/--engine=on for the lock-free owner engine, which
-// makes each epoll thread an independent lane-leasing producer);
+// (--shards/--owners: per-shard mutexes let every epoll thread offer
+// concurrently, and --owners>1 fans each batch out across shards);
 // --sink=tiered serves an OPEN tenant population through an
 // adnet::TieredDetectorPool — dedicated right-sized detectors for the ads
 // SpaceSaving flags hot, one shared tail filter for the long tail, all
@@ -27,7 +27,7 @@
 // SIGINT/SIGTERM triggers a graceful drain: every loop is quiesced, each
 // loop's pending batch is flushed through the detector, every owed verdict
 // frame is pushed out with blocking writes, and an op-count summary is
-// printed before exit.
+// printed before exit. Any flag not listed in usage is refused (exit 2).
 //
 // Durability: --snapshot=PATH writes the sink's complete window state at
 // drain time (atomically: PATH.tmp + fsync + rename), and --restore=PATH
@@ -62,7 +62,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -76,7 +75,12 @@
 #include "server/replication.hpp"
 #include "server/server_config.hpp"
 
+#include "cli_flags.hpp"
+
 using namespace ppc;
+using cli::flag;
+using cli::flag_double;
+using cli::flag_u64;
 
 namespace {
 
@@ -110,8 +114,7 @@ namespace {
       "  --stats-interval=S   print a STATS report every S seconds (via a\n"
       "                       wire round trip, exercising the STATS frame)\n"
       "  --shards=S           shards per detector (default 1 = unsharded)\n"
-      "  --owners=T           engine owner threads / fan-out lanes\n"
-      "  --engine=auto|on|off lock-free owner engine for sharded detectors\n"
+      "  --owners=T           sharded batch fan-out lanes (default 1)\n"
       "  --flush=N            coalesced-batch flush threshold (default 16384)\n"
       "  --loops=N            epoll event loops, each with an SO_REUSEPORT\n"
       "                       listener (default 1; must be 1..hw threads\n"
@@ -150,41 +153,6 @@ namespace {
       "                       follower catches up from the primary)\n",
       argv0);
   std::exit(2);
-}
-
-std::map<std::string, std::string> parse_flags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) != 0) {
-      usage(argv[0]);
-    }
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-std::string flag(const std::map<std::string, std::string>& flags,
-                 const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
-                       const std::string& key, std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
-double flag_double(const std::map<std::string, std::string>& flags,
-                   const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
 }
 
 /// "k=v,k=v" → EnforcementPolicy; "on"/"1" keeps every default. Throws
@@ -242,7 +210,15 @@ void handle_standby_stop(int /*signum*/) { g_standby_stop = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = parse_flags(argc, argv);
+  const auto flags = cli::parse_flags(
+      argc, argv,
+      {"listen", "window", "memory-mib", "hashes", "backend", "sink",
+       "hot-fpr", "tail-window", "tail-fpr", "epoch", "promote-share",
+       "demote-share", "stats-interval", "shards", "owners", "flush",
+       "loops", "oversubscribe-loops", "sndbuf", "memory-cap-mib",
+       "snapshot", "restore", "enforce", "blocklist-export", "journal",
+       "replicate-listen", "repl-ring-batches", "repl-ring-mib", "follow"},
+      usage);
   try {
     const auto parse_hostport =
         [argv](const std::string& spec) -> std::pair<std::string,
@@ -263,14 +239,6 @@ int main(int argc, char** argv) {
     cfg.backend = server::parse_backend_spec(flag(flags, "backend", "auto"));
     cfg.shards = flag_u64(flags, "shards", 1);
     cfg.owners = flag_u64(flags, "owners", 1);
-    const std::string engine = flag(flags, "engine", "auto");
-    if (engine == "on") {
-      cfg.engine = core::ShardedDetector::EngineMode::kSpscOwner;
-    } else if (engine == "off") {
-      cfg.engine = core::ShardedDetector::EngineMode::kMutex;
-    } else if (engine != "auto") {
-      usage(argv[0]);
-    }
 
     server::IngestServer::Options opts;
     opts.flush_clicks = flag_u64(flags, "flush", 16384);
@@ -478,10 +446,10 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
 
     std::printf("ppcd: listening on %s:%u — sink=%s window=%s "
-                "shards=%zu owners=%zu engine=%s flush=%zu loops=%zu\n",
+                "shards=%zu owners=%zu flush=%zu loops=%zu\n",
                 host.c_str(), bound, active->describe().c_str(),
                 cfg.window.describe().c_str(), cfg.shards, cfg.owners,
-                engine.c_str(), opts.flush_clicks, opts.loops);
+                opts.flush_clicks, opts.loops);
     std::fflush(stdout);
 
     std::unique_ptr<server::ReplicationSource> repl_source;
