@@ -5,6 +5,7 @@
 // trajectory future PRs can diff against.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -97,6 +98,21 @@ struct Args {
 };
 
 /// Fixed-width table printing: header then rows of doubles/ints.
+/// Median and quartiles of a bench arm's interleaved rep samples.
+struct Spread {
+  double q1, median, q3;
+};
+
+/// Quartiles by nearest rank, each sample multiplied by `scale`.
+inline Spread spread_of(std::vector<double> samples, double scale = 1.0) {
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&](double q) {
+    return samples[static_cast<std::size_t>(q * (samples.size() - 1) + 0.5)] *
+           scale;
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
 inline void print_rule(std::size_t cols, int width = 14) {
   for (std::size_t i = 0; i < cols; ++i) {
     for (int j = 0; j < width; ++j) std::fputc('-', stdout);

@@ -150,8 +150,7 @@ double run_wire(
     std::uint64_t& dups_out) {
   adnet::DetectorPool pool(
       [cfg](std::uint32_t) { return server::build_detector(cfg); });
-  server::PoolSink sink(pool, nullptr,
-                        /*concurrent_detectors=*/cfg.shards > 1);
+  server::PoolSink sink(pool, /*concurrent_detectors=*/cfg.shards > 1);
   server::IngestServer::Options opts;
   opts.loops = loops;
   server::IngestServer ingest(sink, opts);

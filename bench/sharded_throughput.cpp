@@ -41,6 +41,8 @@
 namespace {
 
 using namespace ppc;
+using benchutil::Spread;
+using benchutil::spread_of;
 
 constexpr std::size_t kBatch = 16384;  // micro-batch fed to offer_batch
 // Global windows, split per shard. The GBF window is production-sized: at
@@ -143,19 +145,6 @@ struct Algo {
   core::ShardedDetector::Factory (*factory)(std::size_t shards);
 };
 
-/// Median and quartiles of kReps samples (Mclicks/s).
-struct Spread {
-  double q1, median, q3;
-};
-
-Spread spread_of(std::vector<double> cps) {
-  std::sort(cps.begin(), cps.end());
-  const auto at = [&](double q) {
-    return cps[static_cast<std::size_t>(q * (cps.size() - 1) + 0.5)] / 1e6;
-  };
-  return {at(0.25), at(0.5), at(0.75)};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -214,7 +203,7 @@ int main(int argc, char** argv) {
           offer_cps.push_back(run_offer(d, ids));
         }
       }
-      const Spread offer = spread_of(offer_cps);
+      const Spread offer = spread_of(offer_cps, 1e-6);
       std::printf("%6s %7zu %8s %8d %12.3f %9.2f %9s\n", algo.name, shards,
                   "offer", 1, offer.median, 1.0, "-");
       json.add(algo.name, {{"shards", static_cast<double>(shards)},
@@ -242,8 +231,8 @@ int main(int argc, char** argv) {
           d.reset();
           batch_cps.push_back(run_batch(d, ids));
         }
-        const Spread scalar = spread_of(scalar_cps);
-        const Spread batch = spread_of(batch_cps);
+        const Spread scalar = spread_of(scalar_cps, 1e-6);
+        const Spread batch = spread_of(batch_cps, 1e-6);
 
         const double scalar_speedup = scalar.median / offer.median;
         const double speedup = batch.median / offer.median;

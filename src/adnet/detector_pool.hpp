@@ -9,14 +9,12 @@
 //
 // Thread safety: the POOL (the ad → detector map and the memory meter) is
 // guarded by an internal shared mutex, so lookups, creations and evictions
-// may run from any thread — including a runtime::ThreadPool's workers
-// driving offer_batch. The per-ad DETECTORS are not individually locked:
-// two threads offering clicks for the SAME ad concurrently is a data race.
-// offer_batch upholds that contract structurally (each ad's group is one
-// task); callers mixing concurrent offer() calls must either partition ads
-// across threads or install thread-safe detectors via the factory (e.g.
-// core::ShardedDetector, whose per-shard mutexes make it individually
-// thread-safe).
+// may run from any thread. The per-ad DETECTORS are not individually
+// locked: two threads offering clicks for the SAME ad concurrently is a
+// data race. Callers offering from several threads must either partition
+// ads across threads or install thread-safe detectors via the factory
+// (e.g. core::ShardedDetector, whose per-shard mutexes make it
+// individually thread-safe).
 #pragma once
 
 #include <algorithm>
@@ -24,9 +22,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -34,7 +32,6 @@
 #include "core/duplicate_detector.hpp"
 #include "core/snapshot_io.hpp"
 #include "hashing/hash_common.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ppc::adnet {
 
@@ -65,10 +62,8 @@ class DetectorPool {
 
   /// Batch route path: groups a micro-batch by ad id, drives each ad's
   /// group through its detector's pipelined offer_batch in arrival order,
-  /// and writes verdicts to `out[i]` for (`ad_ids[i]`, `ids[i]`). With a
-  /// pool, ad groups fan out across its threads (one task per ad keeps the
-  /// per-ad detector single-threaded). All spans share one timestamp, like
-  /// DuplicateDetector::offer_batch.
+  /// and writes verdicts to `out[i]` for (`ad_ids[i]`, `ids[i]`). All spans
+  /// share one timestamp, like DuplicateDetector::offer_batch.
   ///
   /// Partial-failure contract: every first-seen ad in the batch is admitted
   /// (its detector created under the memory cap) BEFORE any group is
@@ -82,9 +77,8 @@ class DetectorPool {
   ///         would exceed the memory cap (before any verdict is computed).
   void offer_batch(std::span<const std::uint32_t> ad_ids,
                    std::span<const core::ClickId> ids, std::span<bool> out,
-                   std::uint64_t time_us = 0,
-                   runtime::ThreadPool* pool = nullptr) {
-    offer_batch_impl(ad_ids, ids, nullptr, time_us, out, pool);
+                   std::uint64_t time_us = 0) {
+    offer_batch_impl(ad_ids, ids, nullptr, time_us, out);
   }
 
   /// Batch route path with PER-CLICK timestamps (times.size() ≥ n): each
@@ -94,12 +88,11 @@ class DetectorPool {
   /// overload, which stamps the whole batch with one time_us.
   void offer_batch(std::span<const std::uint32_t> ad_ids,
                    std::span<const core::ClickId> ids,
-                   std::span<const std::uint64_t> times, std::span<bool> out,
-                   runtime::ThreadPool* pool = nullptr) {
+                   std::span<const std::uint64_t> times, std::span<bool> out) {
     if (times.size() < ids.size()) {
       throw std::invalid_argument("DetectorPool::offer_batch: span mismatch");
     }
-    offer_batch_impl(ad_ids, ids, times.data(), 0, out, pool);
+    offer_batch_impl(ad_ids, ids, times.data(), 0, out);
   }
 
  private:
@@ -118,6 +111,10 @@ class DetectorPool {
     std::vector<std::uint32_t> next;        ///< per element: chain link
     std::vector<std::uint32_t> group_ad;    ///< per group: its ad id
     std::vector<core::DuplicateDetector*> group_det;  ///< admitted detectors
+    std::vector<core::ClickId> batch_ids;     ///< one group's gathered ids
+    std::vector<std::uint64_t> batch_times;   ///< … and timestamps
+    std::vector<std::uint32_t> batch_origin;  ///< … and batch positions
+    std::vector<char> batch_verdicts;         ///< … and verdicts
   };
 
   static GroupScratch& group_scratch() {
@@ -128,7 +125,7 @@ class DetectorPool {
   void offer_batch_impl(std::span<const std::uint32_t> ad_ids,
                         std::span<const core::ClickId> ids,
                         const std::uint64_t* times, std::uint64_t time_us,
-                        std::span<bool> out, runtime::ThreadPool* pool) {
+                        std::span<bool> out) {
     const std::size_t n = ids.size();
     if (n == 0) return;
     if (ad_ids.size() != n || out.size() < n) {
@@ -176,51 +173,38 @@ class DetectorPool {
     // Admission phase: create (or find) every group's detector BEFORE any
     // group drains. A memory-cap length_error escapes here, while zero
     // clicks have been offered — the partial-failure contract offer_batch
-    // documents. Caching the pointers also keeps the drain tasks off the
+    // documents. Caching the pointers also keeps the drain loop off the
     // pool lock entirely (erasure of OTHER ads never moves these nodes).
     gs.group_det.clear();
     for (std::size_t g = 0; g < gs.group_ad.size(); ++g) {
       gs.group_det.push_back(&detector_for(gs.group_ad[g]));
     }
 
-    const auto& head = gs.head;
-    const auto& next = gs.next;
-    const auto& group_ad = gs.group_ad;
-    const auto& group_det = gs.group_det;
-    auto drain_group = [&](std::size_t g) {
-      // Per-task gather buffers; thread_local so pool workers reuse them.
-      static thread_local std::vector<core::ClickId> batch_ids;
-      static thread_local std::vector<std::uint64_t> batch_times;
-      static thread_local std::vector<std::uint32_t> batch_origin;
-      static thread_local std::vector<char> batch_verdicts;
-      batch_ids.clear();
-      batch_times.clear();
-      batch_origin.clear();
-      for (std::uint32_t i = head[g]; i != kNone; i = next[i]) {
-        batch_ids.push_back(ids[i]);
-        if (times != nullptr) batch_times.push_back(times[i]);
-        batch_origin.push_back(i);
+    for (std::size_t g = 0; g < gs.group_ad.size(); ++g) {
+      gs.batch_ids.clear();
+      gs.batch_times.clear();
+      gs.batch_origin.clear();
+      for (std::uint32_t i = gs.head[g]; i != kNone; i = gs.next[i]) {
+        gs.batch_ids.push_back(ids[i]);
+        if (times != nullptr) gs.batch_times.push_back(times[i]);
+        gs.batch_origin.push_back(i);
       }
-      batch_verdicts.resize(batch_ids.size());
+      gs.batch_verdicts.resize(gs.batch_ids.size());
       const std::span<bool> verdict_span(
-          reinterpret_cast<bool*>(batch_verdicts.data()),
-          batch_verdicts.size());
+          reinterpret_cast<bool*>(gs.batch_verdicts.data()),
+          gs.batch_verdicts.size());
       if (times != nullptr) {
-        group_det[g]->offer_batch(
-            std::span<const core::ClickId>(batch_ids),
-            std::span<const std::uint64_t>(batch_times), verdict_span);
+        gs.group_det[g]->offer_batch(
+            std::span<const core::ClickId>(gs.batch_ids),
+            std::span<const std::uint64_t>(gs.batch_times), verdict_span);
       } else {
-        group_det[g]->offer_batch(std::span<const core::ClickId>(batch_ids),
-                                  verdict_span, time_us);
+        gs.group_det[g]->offer_batch(
+            std::span<const core::ClickId>(gs.batch_ids), verdict_span,
+            time_us);
       }
-      for (std::size_t j = 0; j < batch_origin.size(); ++j) {
-        out[batch_origin[j]] = batch_verdicts[j] != 0;
+      for (std::size_t j = 0; j < gs.batch_origin.size(); ++j) {
+        out[gs.batch_origin[j]] = gs.batch_verdicts[j] != 0;
       }
-    };
-    if (pool != nullptr && group_ad.size() > 1) {
-      pool->parallel_for_each(group_ad.size(), drain_group);
-    } else {
-      for (std::size_t g = 0; g < group_ad.size(); ++g) drain_group(g);
     }
   }
 
@@ -281,21 +265,19 @@ class DetectorPool {
   /// lock for the duration; the per-ad detectors must not be receiving
   /// concurrent offers (same contract as evict()).
   void save(std::ostream& out) const {
-    std::ostringstream payload(std::ios::binary);
-    {
-      const std::shared_lock<std::shared_mutex> read(mutex_);
-      std::vector<std::uint32_t> ads;
-      ads.reserve(detectors_.size());
-      for (const auto& [ad, det] : detectors_) ads.push_back(ad);
-      std::sort(ads.begin(), ads.end());
-      core::detail::write_u64(payload, ads.size());
+    const std::shared_lock<std::shared_mutex> read(mutex_);
+    std::vector<std::uint32_t> ads;
+    ads.reserve(detectors_.size());
+    for (const auto& [ad, det] : detectors_) ads.push_back(ad);
+    std::sort(ads.begin(), ads.end());
+    core::detail::write_section(out, core::detail::kPoolMagic,
+                                [&](std::ostream& ps) {
+      core::detail::write_u64(ps, ads.size());
       for (const std::uint32_t ad : ads) {
-        core::detail::write_u64(payload, ad);
-        detectors_.at(ad)->save(payload);
+        core::detail::write_u64(ps, ad);
+        detectors_.at(ad)->save(ps);
       }
-    }
-    core::detail::write_section(out, core::detail::kPoolMagic, payload.str());
-    if (!out) throw std::runtime_error("DetectorPool::save: write failed");
+    });
   }
 
   /// Restores state saved by save(): each saved ad's detector is built
@@ -305,42 +287,38 @@ class DetectorPool {
   /// Corrupt sections throw before any detector is built; a nested failure
   /// after that leaves the pool partially populated — evict or discard it.
   void restore(std::istream& in) {
-    const std::string payload =
-        core::detail::read_section(in, core::detail::kPoolMagic,
-                                   "DetectorPool");
-    std::istringstream ps(payload, std::ios::binary);
-    const std::uint64_t ad_count = core::detail::read_u64(ps);
-    if (ad_count > kMaxSnapshotAds) {
-      throw std::runtime_error("DetectorPool::restore: implausible ad count " +
-                               std::to_string(ad_count));
-    }
-    std::uint64_t prev_ad = 0;
-    for (std::uint64_t i = 0; i < ad_count; ++i) {
-      const std::uint64_t ad = core::detail::read_u64(ps);
-      if (ad > 0xffffffffull) {
-        throw std::runtime_error("DetectorPool::restore: corrupt ad id " +
-                                 std::to_string(ad));
-      }
-      // save() writes ads strictly ascending; anything else is corruption
-      // (and would let a forged snapshot restore one ad twice).
-      if (i > 0 && ad <= prev_ad) {
+    core::detail::read_section(in, core::detail::kPoolMagic, "DetectorPool",
+                               [&](std::istream& ps) {
+      const std::uint64_t ad_count = core::detail::read_u64(ps);
+      if (ad_count > kMaxSnapshotAds) {
         throw std::runtime_error(
-            "DetectorPool::restore: ad ids out of order (corrupt snapshot)");
+            "DetectorPool::restore: implausible ad count " +
+            std::to_string(ad_count));
       }
-      prev_ad = ad;
-      try {
-        detector_for(static_cast<std::uint32_t>(ad)).restore(ps);
-      } catch (const std::length_error&) {
-        throw;  // memory cap: operator error, not snapshot corruption
-      } catch (const std::exception& e) {
-        throw std::runtime_error("DetectorPool::restore: ad " +
-                                 std::to_string(ad) + ": " + e.what());
+      std::uint64_t prev_ad = 0;
+      for (std::uint64_t i = 0; i < ad_count; ++i) {
+        const std::uint64_t ad = core::detail::read_u64(ps);
+        if (ad > 0xffffffffull) {
+          throw std::runtime_error("DetectorPool::restore: corrupt ad id " +
+                                   std::to_string(ad));
+        }
+        // save() writes ads strictly ascending; anything else is corruption
+        // (and would let a forged snapshot restore one ad twice).
+        if (i > 0 && ad <= prev_ad) {
+          throw std::runtime_error(
+              "DetectorPool::restore: ad ids out of order (corrupt snapshot)");
+        }
+        prev_ad = ad;
+        try {
+          detector_for(static_cast<std::uint32_t>(ad)).restore(ps);
+        } catch (const std::length_error&) {
+          throw;  // memory cap: operator error, not snapshot corruption
+        } catch (const std::exception& e) {
+          throw std::runtime_error("DetectorPool::restore: ad " +
+                                   std::to_string(ad) + ": " + e.what());
+        }
       }
-    }
-    if (ps.peek() != std::istringstream::traits_type::eof()) {
-      throw std::runtime_error(
-          "DetectorPool::restore: trailing bytes after last ad");
-    }
+    });
   }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -263,138 +262,120 @@ TierStats TieredDetectorPool::stats() const {
 
 void TieredDetectorPool::save(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream payload(std::ios::binary);
   namespace io = core::detail;
-  // Geometry fingerprint: restore() refuses a snapshot whose tiers were
-  // planned under different options (the detectors wouldn't line up).
-  io::write_u64(payload, opts_.memory_cap_bits);
-  io::write_u64(payload, std::bit_cast<std::uint64_t>(opts_.hot_target_fpr));
-  io::write_u64(payload, std::bit_cast<std::uint64_t>(opts_.tail_target_fpr));
-  io::write_u64(payload, opts_.tail_window_clicks);
-  io::write_u64(payload, opts_.hh_capacity);
-  io::write_u64(payload, opts_.epoch_clicks);
-  io::write_u64(payload, static_cast<std::uint64_t>(opts_.hot_window.kind));
-  io::write_u64(payload, static_cast<std::uint64_t>(opts_.hot_window.basis));
-  io::write_u64(payload, opts_.hot_window.length);
-  io::write_u64(payload, opts_.hot_window.subwindows);
-  io::write_u64(payload, opts_.hot_window.time_unit_us);
+  io::write_section(out, io::kTieredPoolMagic, [&](std::ostream& ps) {
+    // Geometry fingerprint: restore() refuses a snapshot whose tiers were
+    // planned under different options (the detectors wouldn't line up).
+    io::write_u64(ps, opts_.memory_cap_bits);
+    io::write_u64(ps, std::bit_cast<std::uint64_t>(opts_.hot_target_fpr));
+    io::write_u64(ps, std::bit_cast<std::uint64_t>(opts_.tail_target_fpr));
+    io::write_u64(ps, opts_.tail_window_clicks);
+    io::write_u64(ps, opts_.hh_capacity);
+    io::write_u64(ps, opts_.epoch_clicks);
+    io::write_window(ps, opts_.hot_window);
 
-  io::write_u64(payload, clicks_);
-  io::write_u64(payload, duplicates_);
-  io::write_u64(payload, hot_clicks_);
-  io::write_u64(payload, hot_duplicates_);
-  io::write_u64(payload, tail_clicks_);
-  io::write_u64(payload, tail_duplicates_);
-  io::write_u64(payload, promotions_);
-  io::write_u64(payload, demotions_);
-  io::write_u64(payload, promotion_deferrals_);
-  io::write_u64(payload, epoch_clicks_seen_);
-  io::write_u64(payload, epoch_start_time_us_);
-  io::write_u64(payload, last_time_us_);
+    io::write_u64(ps, clicks_);
+    io::write_u64(ps, duplicates_);
+    io::write_u64(ps, hot_clicks_);
+    io::write_u64(ps, hot_duplicates_);
+    io::write_u64(ps, tail_clicks_);
+    io::write_u64(ps, tail_duplicates_);
+    io::write_u64(ps, promotions_);
+    io::write_u64(ps, demotions_);
+    io::write_u64(ps, promotion_deferrals_);
+    io::write_u64(ps, epoch_clicks_seen_);
+    io::write_u64(ps, epoch_start_time_us_);
+    io::write_u64(ps, last_time_us_);
 
-  hh_.save(payload);
-  tail_->save(payload);
+    hh_.save(ps);
+    tail_->save(ps);
 
-  io::write_u64(payload, hot_.size());
-  for (const auto& [ad, entry] : hot_) {  // std::map: ascending ad order
-    io::write_u64(payload, ad);
-    io::write_u64(payload, entry.sized_n);
-    io::write_u64(payload, entry.grace_left);
-    io::write_u64(payload, entry.grace_until_us);
-    io::write_u64(payload, entry.epoch_count);
-    entry.detector->save(payload);
-  }
-  core::detail::write_section(out, core::detail::kTieredPoolMagic,
-                              payload.str());
-  if (!out) {
-    throw std::runtime_error("TieredDetectorPool::save: write failed");
-  }
+    io::write_u64(ps, hot_.size());
+    for (const auto& [ad, entry] : hot_) {  // std::map: ascending ad order
+      io::write_u64(ps, ad);
+      io::write_u64(ps, entry.sized_n);
+      io::write_u64(ps, entry.grace_left);
+      io::write_u64(ps, entry.grace_until_us);
+      io::write_u64(ps, entry.epoch_count);
+      entry.detector->save(ps);
+    }
+  });
 }
 
 void TieredDetectorPool::restore(std::istream& in) {
   const std::lock_guard<std::mutex> lock(mutex_);
   namespace io = core::detail;
-  const std::string payload = io::read_section(
-      in, core::detail::kTieredPoolMagic, "TieredDetectorPool");
-  std::istringstream ps(payload, std::ios::binary);
-
-  const bool fingerprint_ok =
-      io::read_u64(ps) == opts_.memory_cap_bits &&
-      io::read_u64(ps) == std::bit_cast<std::uint64_t>(opts_.hot_target_fpr) &&
-      io::read_u64(ps) ==
-          std::bit_cast<std::uint64_t>(opts_.tail_target_fpr) &&
-      io::read_u64(ps) == opts_.tail_window_clicks &&
-      io::read_u64(ps) == opts_.hh_capacity &&
-      io::read_u64(ps) == opts_.epoch_clicks &&
-      io::read_u64(ps) ==
-          static_cast<std::uint64_t>(opts_.hot_window.kind) &&
-      io::read_u64(ps) ==
-          static_cast<std::uint64_t>(opts_.hot_window.basis) &&
-      io::read_u64(ps) == opts_.hot_window.length &&
-      io::read_u64(ps) == opts_.hot_window.subwindows &&
-      io::read_u64(ps) == opts_.hot_window.time_unit_us;
-  if (!fingerprint_ok) {
-    throw std::runtime_error(
-        "TieredDetectorPool::restore: snapshot was saved under different "
-        "tiering options");
-  }
-
-  clicks_ = io::read_u64(ps);
-  duplicates_ = io::read_u64(ps);
-  hot_clicks_ = io::read_u64(ps);
-  hot_duplicates_ = io::read_u64(ps);
-  tail_clicks_ = io::read_u64(ps);
-  tail_duplicates_ = io::read_u64(ps);
-  promotions_ = io::read_u64(ps);
-  demotions_ = io::read_u64(ps);
-  promotion_deferrals_ = io::read_u64(ps);
-  epoch_clicks_seen_ = io::read_u64(ps);
-  epoch_start_time_us_ = io::read_u64(ps);
-  last_time_us_ = io::read_u64(ps);
-
-  hh_.restore(ps);
-  tail_->restore(ps);
-  hot_.clear();
-  memory_bits_ = tail_->memory_bits();
-
-  const std::uint64_t hot_count = io::read_u64(ps);
-  if (hot_count > kMaxSnapshotHotAds) {
-    throw std::runtime_error(
-        "TieredDetectorPool::restore: implausible hot-ad count " +
-        std::to_string(hot_count));
-  }
-  std::uint64_t prev_ad = 0;
-  for (std::uint64_t i = 0; i < hot_count; ++i) {
-    const std::uint64_t ad = io::read_u64(ps);
-    if (ad > 0xffffffffull || (i > 0 && ad <= prev_ad)) {
+  io::read_section(in, io::kTieredPoolMagic, "TieredDetectorPool",
+                   [&](std::istream& ps) {
+    const bool fingerprint_ok =
+        io::read_u64(ps) == opts_.memory_cap_bits &&
+        io::read_u64(ps) ==
+            std::bit_cast<std::uint64_t>(opts_.hot_target_fpr) &&
+        io::read_u64(ps) ==
+            std::bit_cast<std::uint64_t>(opts_.tail_target_fpr) &&
+        io::read_u64(ps) == opts_.tail_window_clicks &&
+        io::read_u64(ps) == opts_.hh_capacity &&
+        io::read_u64(ps) == opts_.epoch_clicks &&
+        io::read_window(ps) == opts_.hot_window;
+    if (!fingerprint_ok) {
       throw std::runtime_error(
-          "TieredDetectorPool::restore: hot ad ids corrupt or out of order");
+          "TieredDetectorPool::restore: snapshot was saved under different "
+          "tiering options");
     }
-    prev_ad = ad;
-    HotEntry entry;
-    entry.sized_n = io::read_u64(ps);
-    entry.grace_left = io::read_u64(ps);
-    entry.grace_until_us = io::read_u64(ps);
-    entry.epoch_count = io::read_u64(ps);
-    entry.detector = build_hot_detector(entry.sized_n);
-    try {
-      entry.detector->restore(ps);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("TieredDetectorPool::restore: hot ad " +
-                               std::to_string(ad) + ": " + e.what());
-    }
-    entry.memory_bits = entry.detector->memory_bits();
-    if (memory_bits_ + entry.memory_bits > opts_.memory_cap_bits) {
+
+    clicks_ = io::read_u64(ps);
+    duplicates_ = io::read_u64(ps);
+    hot_clicks_ = io::read_u64(ps);
+    hot_duplicates_ = io::read_u64(ps);
+    tail_clicks_ = io::read_u64(ps);
+    tail_duplicates_ = io::read_u64(ps);
+    promotions_ = io::read_u64(ps);
+    demotions_ = io::read_u64(ps);
+    promotion_deferrals_ = io::read_u64(ps);
+    epoch_clicks_seen_ = io::read_u64(ps);
+    epoch_start_time_us_ = io::read_u64(ps);
+    last_time_us_ = io::read_u64(ps);
+
+    hh_.restore(ps);
+    tail_->restore(ps);
+    hot_.clear();
+    memory_bits_ = tail_->memory_bits();
+
+    const std::uint64_t hot_count = io::read_u64(ps);
+    if (hot_count > kMaxSnapshotHotAds) {
       throw std::runtime_error(
-          "TieredDetectorPool::restore: snapshot exceeds the memory cap");
+          "TieredDetectorPool::restore: implausible hot-ad count " +
+          std::to_string(hot_count));
     }
-    memory_bits_ += entry.memory_bits;
-    hot_.emplace(static_cast<std::uint32_t>(ad), std::move(entry));
-  }
-  if (ps.peek() != std::istringstream::traits_type::eof()) {
-    throw std::runtime_error(
-        "TieredDetectorPool::restore: trailing bytes after last hot ad");
-  }
+    std::uint64_t prev_ad = 0;
+    for (std::uint64_t i = 0; i < hot_count; ++i) {
+      const std::uint64_t ad = io::read_u64(ps);
+      if (ad > 0xffffffffull || (i > 0 && ad <= prev_ad)) {
+        throw std::runtime_error(
+            "TieredDetectorPool::restore: hot ad ids corrupt or out of order");
+      }
+      prev_ad = ad;
+      HotEntry entry;
+      entry.sized_n = io::read_u64(ps);
+      entry.grace_left = io::read_u64(ps);
+      entry.grace_until_us = io::read_u64(ps);
+      entry.epoch_count = io::read_u64(ps);
+      entry.detector = build_hot_detector(entry.sized_n);
+      try {
+        entry.detector->restore(ps);
+      } catch (const std::exception& e) {
+        throw std::runtime_error("TieredDetectorPool::restore: hot ad " +
+                                 std::to_string(ad) + ": " + e.what());
+      }
+      entry.memory_bits = entry.detector->memory_bits();
+      if (memory_bits_ + entry.memory_bits > opts_.memory_cap_bits) {
+        throw std::runtime_error(
+            "TieredDetectorPool::restore: snapshot exceeds the memory cap");
+      }
+      memory_bits_ += entry.memory_bits;
+      hot_.emplace(static_cast<std::uint32_t>(ad), std::move(entry));
+    }
+  });
 }
 
 }  // namespace ppc::adnet

@@ -4,7 +4,6 @@
 #include <bit>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/batch_hash_ring.hpp"
@@ -323,11 +322,7 @@ void AgePartitionedBloomFilter::offer_batch_time(std::span<const ClickId> ids,
 }
 
 void AgePartitionedBloomFilter::write_state(std::ostream& out) const {
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.kind));
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.basis));
-  detail::write_u64(out, window_.length);
-  detail::write_u64(out, window_.subwindows);
-  detail::write_u64(out, window_.time_unit_us);
+  detail::write_window(out, window_);
   detail::write_u64(out, bits_per_slice_);
   detail::write_u64(out, k_);
   detail::write_u64(out, l_);
@@ -347,21 +342,13 @@ void AgePartitionedBloomFilter::save(std::ostream& out) const {
   // Unlike the seed-era GBF/TBF raw layouts, the whole state rides in one
   // versioned CRC-checked section, so corruption anywhere in the payload is
   // caught before a single field is applied.
-  std::ostringstream payload(std::ios::binary);
-  write_state(payload);
-  detail::write_section(out, detail::kApbfMagic, payload.str());
-  if (!out) {
-    throw std::runtime_error("AgePartitionedBloomFilter::save: write failed");
-  }
+  detail::write_section(out, detail::kApbfMagic,
+                        [this](std::ostream& ps) { write_state(ps); });
 }
 
 void AgePartitionedBloomFilter::read_header(std::istream& in,
                                             WindowSpec& window, Options& opts) {
-  window.kind = static_cast<WindowKind>(detail::read_u64(in));
-  window.basis = static_cast<WindowBasis>(detail::read_u64(in));
-  window.length = detail::read_u64(in);
-  window.subwindows = static_cast<std::uint32_t>(detail::read_u64(in));
-  window.time_unit_us = detail::read_u64(in);
+  window = detail::read_window(in);
   opts.bits_per_slice = detail::read_u64(in);
   opts.consecutive = static_cast<std::size_t>(detail::read_u64(in));
   opts.generations = static_cast<std::size_t>(detail::read_u64(in));
@@ -388,50 +375,48 @@ void AgePartitionedBloomFilter::read_state(std::istream& in) {
     throw std::runtime_error("AgePartitionedBloomFilter: corrupt time cursor");
   }
   time_started_ = detail::read_u64(in) != 0;
-  const auto words = detail::read_words(in);
+  auto words = detail::read_words(in);
   if (words.size() != words_.size()) {
     throw std::runtime_error(
         "AgePartitionedBloomFilter: payload size does not match geometry");
   }
-  words_ = words;
+  words_ = std::move(words);
 }
 
 void AgePartitionedBloomFilter::restore(std::istream& in) {
-  const std::string payload =
-      detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter");
-  std::istringstream body(payload, std::ios::binary);
-  WindowSpec window;
-  Options opts;
-  read_header(body, window, opts);
-  if (window.kind != window_.kind || window.basis != window_.basis ||
-      window.length != window_.length ||
-      window.subwindows != window_.subwindows ||
-      window.time_unit_us != window_.time_unit_us) {
-    throw std::runtime_error(
-        "AgePartitionedBloomFilter::restore: snapshot window [" +
-        window.describe() + "] does not match this instance [" +
-        window_.describe() + "]");
-  }
-  if (opts.bits_per_slice != bits_per_slice_ || opts.consecutive != k_ ||
-      opts.generations != l_ || opts.strategy != family_.strategy() ||
-      opts.seed != family_.seed()) {
-    throw std::runtime_error(
-        "AgePartitionedBloomFilter::restore: snapshot filter options "
-        "(m/k/l/strategy/seed) do not match this instance");
-  }
-  read_state(body);
+  detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter",
+                       [this](std::istream& body) {
+    WindowSpec window;
+    Options opts;
+    read_header(body, window, opts);
+    if (window != window_) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter::restore: snapshot window [" +
+          window.describe() + "] does not match this instance [" +
+          window_.describe() + "]");
+    }
+    if (opts.bits_per_slice != bits_per_slice_ || opts.consecutive != k_ ||
+        opts.generations != l_ || opts.strategy != family_.strategy() ||
+        opts.seed != family_.seed()) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter::restore: snapshot filter options "
+          "(m/k/l/strategy/seed) do not match this instance");
+    }
+    read_state(body);
+  });
 }
 
 std::unique_ptr<AgePartitionedBloomFilter> AgePartitionedBloomFilter::load(
     std::istream& in) {
-  const std::string payload =
-      detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter");
-  std::istringstream body(payload, std::ios::binary);
-  WindowSpec window;
-  Options opts;
-  read_header(body, window, opts);
-  auto apbf = std::make_unique<AgePartitionedBloomFilter>(window, opts);
-  apbf->read_state(body);
+  std::unique_ptr<AgePartitionedBloomFilter> apbf;
+  detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter",
+                       [&apbf](std::istream& body) {
+    WindowSpec window;
+    Options opts;
+    read_header(body, window, opts);
+    apbf = std::make_unique<AgePartitionedBloomFilter>(window, opts);
+    apbf->read_state(body);
+  });
   return apbf;
 }
 

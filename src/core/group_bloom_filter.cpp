@@ -294,11 +294,7 @@ constexpr std::uint64_t kGbfMagic = 0x50504347'42463031ULL;  // "PPCGBF01"
 
 void GroupBloomFilter::save(std::ostream& out) const {
   detail::write_u64(out, kGbfMagic);
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.kind));
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.basis));
-  detail::write_u64(out, window_.length);
-  detail::write_u64(out, window_.subwindows);
-  detail::write_u64(out, window_.time_unit_us);
+  detail::write_window(out, window_);
   detail::write_u64(out, bits_per_subfilter_);
   detail::write_u64(out, family_.k());
   detail::write_u64(out, static_cast<std::uint64_t>(family_.strategy()));
@@ -317,11 +313,7 @@ void GroupBloomFilter::save(std::ostream& out) const {
 void GroupBloomFilter::read_header(std::istream& in, WindowSpec& window,
                                    Options& opts) {
   detail::expect_magic(in, kGbfMagic, "GroupBloomFilter");
-  window.kind = static_cast<WindowKind>(detail::read_u64(in));
-  window.basis = static_cast<WindowBasis>(detail::read_u64(in));
-  window.length = detail::read_u64(in);
-  window.subwindows = static_cast<std::uint32_t>(detail::read_u64(in));
-  window.time_unit_us = detail::read_u64(in);
+  window = detail::read_window(in);
   opts.bits_per_subfilter = detail::read_u64(in);
   opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
   opts.strategy = static_cast<hashing::IndexStrategy>(detail::read_u64(in));
@@ -349,10 +341,7 @@ void GroupBloomFilter::restore(std::istream& in) {
   WindowSpec window;
   Options opts;
   read_header(in, window, opts);
-  if (window.kind != window_.kind || window.basis != window_.basis ||
-      window.length != window_.length ||
-      window.subwindows != window_.subwindows ||
-      window.time_unit_us != window_.time_unit_us) {
+  if (window != window_) {
     throw std::runtime_error(
         "GroupBloomFilter::restore: snapshot window [" + window.describe() +
         "] does not match this instance [" + window_.describe() + "]");

@@ -1,6 +1,5 @@
 #include "core/sharded_detector.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "core/snapshot_io.hpp"
@@ -225,81 +224,56 @@ OpCounter ShardedDetector::op_totals() const {
 }
 
 void ShardedDetector::save(std::ostream& out) const {
-  std::ostringstream payload(std::ios::binary);
-  detail::write_u64(payload, shards_.size());
-  // Engine-flag word, always 0: kept so the format stays byte-identical
-  // (restore still accepts 1).
-  detail::write_u64(payload, 0);
-  const WindowSpec agg = window();
-  detail::write_u64(payload, static_cast<std::uint64_t>(agg.kind));
-  detail::write_u64(payload, static_cast<std::uint64_t>(agg.basis));
-  detail::write_u64(payload, agg.length);
-  detail::write_u64(payload, agg.subwindows);
-  detail::write_u64(payload, agg.time_unit_us);
-  for (const Shard& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    s.detector->save(payload);
-  }
-  detail::write_section(out, detail::kShardedMagic, payload.str());
-  if (!out) throw std::runtime_error("ShardedDetector::save: write failed");
+  detail::write_section(out, detail::kShardedMagic, [&](std::ostream& ps) {
+    detail::write_u64(ps, shards_.size());
+    // Engine-flag word, always 0: kept so the format stays byte-identical
+    // (restore still accepts 1).
+    detail::write_u64(ps, 0);
+    detail::write_window(ps, window());
+    for (const Shard& s : shards_) {
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      s.detector->save(ps);
+    }
+  });
 }
 
 void ShardedDetector::restore(std::istream& in) {
-  const std::string payload =
-      detail::read_section(in, detail::kShardedMagic, "ShardedDetector");
-  std::istringstream ps(payload, std::ios::binary);
-
-  const std::uint64_t shard_count = detail::read_u64(ps);
-  if (shard_count != shards_.size()) {
-    throw std::runtime_error(
-        "ShardedDetector::restore: snapshot has " +
-        std::to_string(shard_count) + " shards but this instance has " +
-        std::to_string(shards_.size()));
-  }
-  const std::uint64_t engine_flag = detail::read_u64(ps);
-  if (engine_flag > 1) {
-    throw std::runtime_error(
-        "ShardedDetector::restore: corrupt engine-mode flag");
-  }
-  // The engine flag (1 = written by the retired lock-free engine) is
-  // informational: verdicts never depended on it. The window must match:
-  // a count window of a different aggregate length or a different basis
-  // silently changes every verdict.
-  WindowSpec saved;
-  const std::uint64_t kind = detail::read_u64(ps);
-  const std::uint64_t basis = detail::read_u64(ps);
-  if (kind > static_cast<std::uint64_t>(WindowKind::kSliding) ||
-      basis > static_cast<std::uint64_t>(WindowBasis::kTime)) {
-    throw std::runtime_error(
-        "ShardedDetector::restore: corrupt window header");
-  }
-  saved.kind = static_cast<WindowKind>(kind);
-  saved.basis = static_cast<WindowBasis>(basis);
-  saved.length = detail::read_u64(ps);
-  saved.subwindows = static_cast<std::uint32_t>(detail::read_u64(ps));
-  saved.time_unit_us = detail::read_u64(ps);
-  const WindowSpec agg = window();
-  if (saved.kind != agg.kind || saved.basis != agg.basis ||
-      saved.length != agg.length || saved.subwindows != agg.subwindows ||
-      saved.time_unit_us != agg.time_unit_us) {
-    throw std::runtime_error(
-        "ShardedDetector::restore: snapshot window [" + saved.describe() +
-        "] does not match this instance [" + agg.describe() + "]");
-  }
-
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    try {
-      const std::lock_guard<std::mutex> lock(shards_[s].mutex);
-      shards_[s].detector->restore(ps);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("ShardedDetector::restore: shard " +
-                               std::to_string(s) + ": " + e.what());
+  detail::read_section(in, detail::kShardedMagic, "ShardedDetector",
+                       [&](std::istream& ps) {
+    const std::uint64_t shard_count = detail::read_u64(ps);
+    if (shard_count != shards_.size()) {
+      throw std::runtime_error(
+          "ShardedDetector::restore: snapshot has " +
+          std::to_string(shard_count) + " shards but this instance has " +
+          std::to_string(shards_.size()));
     }
-  }
-  if (ps.peek() != std::istringstream::traits_type::eof()) {
-    throw std::runtime_error(
-        "ShardedDetector::restore: trailing bytes after last shard");
-  }
+    const std::uint64_t engine_flag = detail::read_u64(ps);
+    if (engine_flag > 1) {
+      throw std::runtime_error(
+          "ShardedDetector::restore: corrupt engine-mode flag");
+    }
+    // The engine flag (1 = written by the retired lock-free engine) is
+    // informational: verdicts never depended on it. The window must match:
+    // a count window of a different aggregate length or a different basis
+    // silently changes every verdict.
+    const WindowSpec saved = detail::read_window(ps);
+    const WindowSpec agg = window();
+    if (saved != agg) {
+      throw std::runtime_error(
+          "ShardedDetector::restore: snapshot window [" + saved.describe() +
+          "] does not match this instance [" + agg.describe() + "]");
+    }
+
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      try {
+        const std::lock_guard<std::mutex> lock(shards_[s].mutex);
+        shards_[s].detector->restore(ps);
+      } catch (const std::exception& e) {
+        throw std::runtime_error("ShardedDetector::restore: shard " +
+                                 std::to_string(s) + ": " + e.what());
+      }
+    }
+  });
 }
 
 void ShardedDetector::reset() {

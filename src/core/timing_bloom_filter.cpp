@@ -301,11 +301,7 @@ constexpr std::uint64_t kTbfMagic = 0x50504354'42463031ULL;  // "PPCTBF01"
 
 void TimingBloomFilter::save(std::ostream& out) const {
   detail::write_u64(out, kTbfMagic);
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.kind));
-  detail::write_u64(out, static_cast<std::uint64_t>(window_.basis));
-  detail::write_u64(out, window_.length);
-  detail::write_u64(out, window_.subwindows);
-  detail::write_u64(out, window_.time_unit_us);
+  detail::write_window(out, window_);
   detail::write_u64(out, table_.size());
   detail::write_u64(out, family_.k());
   detail::write_u64(out, c_);
@@ -323,11 +319,7 @@ void TimingBloomFilter::save(std::ostream& out) const {
 void TimingBloomFilter::read_header(std::istream& in, WindowSpec& window,
                                     Options& opts) {
   detail::expect_magic(in, kTbfMagic, "TimingBloomFilter");
-  window.kind = static_cast<WindowKind>(detail::read_u64(in));
-  window.basis = static_cast<WindowBasis>(detail::read_u64(in));
-  window.length = detail::read_u64(in);
-  window.subwindows = static_cast<std::uint32_t>(detail::read_u64(in));
-  window.time_unit_us = detail::read_u64(in);
+  window = detail::read_window(in);
   opts.entries = detail::read_u64(in);
   opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
   opts.c = detail::read_u64(in);
@@ -355,10 +347,7 @@ void TimingBloomFilter::restore(std::istream& in) {
   WindowSpec window;
   Options opts;
   read_header(in, window, opts);
-  if (window.kind != window_.kind || window.basis != window_.basis ||
-      window.length != window_.length ||
-      window.subwindows != window_.subwindows ||
-      window.time_unit_us != window_.time_unit_us) {
+  if (window != window_) {
     throw std::runtime_error(
         "TimingBloomFilter::restore: snapshot window [" + window.describe() +
         "] does not match this instance [" + window_.describe() + "]");

@@ -57,6 +57,8 @@ struct WindowSpec {
     return (length + subwindows - 1) / subwindows;
   }
 
+  bool operator==(const WindowSpec&) const = default;
+
   /// Validates invariants; throws std::invalid_argument on nonsense specs.
   void validate() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "core/snapshot_io.hpp"
 
@@ -306,106 +305,101 @@ std::vector<ReputationLedger::Record> ReputationLedger::records() const {
 
 void ReputationLedger::save(std::ostream& out) const {
   namespace sio = core::detail;
-  std::ostringstream payload(std::ios::binary);
-  sio::write_u64(payload, policy_.key_by_publisher ? 1 : 0);
-  const std::vector<Record> recs = records();
-  sio::write_u64(payload, recs.size());
-  for (const Record& r : recs) {
-    const SourceState& s = sources_.at(r.key);
-    sio::write_u64(payload, r.key);
-    sio::write_u64(payload, s.clicks);
-    sio::write_u64(payload, s.duplicates);
-    sio::write_u64(payload, std::bit_cast<std::uint64_t>(s.rate));
-    sio::write_u64(payload, std::bit_cast<std::uint64_t>(s.score));
-    sio::write_u64(payload, s.last_seen_us);
-    sio::write_u64(payload, static_cast<std::uint64_t>(s.tier));
-    sio::write_u64(payload, s.tier_since_us);
-    sio::write_u64(payload, s.blocked_until_us);
-  }
-  sio::write_u64(payload, stats_.observed);
-  sio::write_u64(payload, stats_.duplicates);
-  sio::write_u64(payload, stats_.promotions);
-  sio::write_u64(payload, stats_.demotions);
-  sio::write_u64(payload, stats_.block_expiries);
-  sio::write_u64(payload, stats_.dropped_admissions);
-  offenders_.save(payload);
-  sio::write_section(out, sio::kEnforceMagic, payload.str());
+  sio::write_section(out, sio::kEnforceMagic, [&](std::ostream& ps) {
+    sio::write_u64(ps, policy_.key_by_publisher ? 1 : 0);
+    const std::vector<Record> recs = records();
+    sio::write_u64(ps, recs.size());
+    for (const Record& r : recs) {
+      const SourceState& s = sources_.at(r.key);
+      sio::write_u64(ps, r.key);
+      sio::write_u64(ps, s.clicks);
+      sio::write_u64(ps, s.duplicates);
+      sio::write_u64(ps, std::bit_cast<std::uint64_t>(s.rate));
+      sio::write_u64(ps, std::bit_cast<std::uint64_t>(s.score));
+      sio::write_u64(ps, s.last_seen_us);
+      sio::write_u64(ps, static_cast<std::uint64_t>(s.tier));
+      sio::write_u64(ps, s.tier_since_us);
+      sio::write_u64(ps, s.blocked_until_us);
+    }
+    sio::write_u64(ps, stats_.observed);
+    sio::write_u64(ps, stats_.duplicates);
+    sio::write_u64(ps, stats_.promotions);
+    sio::write_u64(ps, stats_.demotions);
+    sio::write_u64(ps, stats_.block_expiries);
+    sio::write_u64(ps, stats_.dropped_admissions);
+    offenders_.save(ps);
+  });
 }
 
 void ReputationLedger::restore(std::istream& in) {
   namespace sio = core::detail;
   try {
-    const std::string payload =
-        sio::read_section(in, sio::kEnforceMagic, "reputation ledger");
-    std::istringstream ps(payload, std::ios::binary);
-
-    const std::uint64_t keyed = sio::read_u64(ps);
-    if (keyed > 1) {
-      throw std::runtime_error("ledger snapshot: corrupt key mode");
-    }
-    if ((keyed == 1) != policy_.key_by_publisher) {
-      throw std::runtime_error(
-          "ledger snapshot: key_by_publisher mismatch with policy");
-    }
-    const std::uint64_t count = sio::read_u64(ps);
-    if (count > policy_.max_sources) {
-      throw std::runtime_error("ledger snapshot: " + std::to_string(count) +
-                               " records exceed max_sources " +
-                               std::to_string(policy_.max_sources));
-    }
     std::unordered_map<std::uint64_t, SourceState> loaded;
-    loaded.reserve(count);
     std::array<std::uint64_t, 4> counts{};
-    std::uint64_t prev_key = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t key = sio::read_u64(ps);
-      if (i > 0 && key <= prev_key) {
-        throw std::runtime_error(
-            "ledger snapshot: record keys out of order (corrupt snapshot)");
-      }
-      prev_key = key;
-      if (!policy_.key_by_publisher && (key >> 32) != 0) {
-        throw std::runtime_error(
-            "ledger snapshot: publisher bits set in an ip-keyed ledger");
-      }
-      SourceState s;
-      s.clicks = sio::read_u64(ps);
-      s.duplicates = sio::read_u64(ps);
-      s.rate = std::bit_cast<double>(sio::read_u64(ps));
-      s.score = std::bit_cast<double>(sio::read_u64(ps));
-      s.last_seen_us = sio::read_u64(ps);
-      const std::uint64_t tier = sio::read_u64(ps);
-      s.tier_since_us = sio::read_u64(ps);
-      s.blocked_until_us = sio::read_u64(ps);
-      if (s.duplicates > s.clicks) {
-        throw std::runtime_error(
-            "ledger snapshot: duplicates exceed clicks (corrupt record)");
-      }
-      if (tier > static_cast<std::uint64_t>(Tier::kBlocked)) {
-        throw std::runtime_error("ledger snapshot: tier " +
-                                 std::to_string(tier) + " out of range");
-      }
-      s.tier = static_cast<Tier>(tier);
-      if (!std::isfinite(s.rate) || s.rate < 0.0 || s.rate > 1.0 ||
-          !std::isfinite(s.score) || s.score < 0.0) {
-        throw std::runtime_error(
-            "ledger snapshot: rate/score out of domain (corrupt record)");
-      }
-      ++counts[static_cast<std::size_t>(s.tier)];
-      loaded.emplace(key, s);
-    }
     Stats st;
-    st.observed = sio::read_u64(ps);
-    st.duplicates = sio::read_u64(ps);
-    st.promotions = sio::read_u64(ps);
-    st.demotions = sio::read_u64(ps);
-    st.block_expiries = sio::read_u64(ps);
-    st.dropped_admissions = sio::read_u64(ps);
-    offenders_.restore(ps);
-    if (ps.peek() != std::istringstream::traits_type::eof()) {
-      throw std::runtime_error(
-          "ledger snapshot: trailing bytes after offender summary");
-    }
+    sio::read_section(in, sio::kEnforceMagic, "reputation ledger",
+                      [&](std::istream& ps) {
+      const std::uint64_t keyed = sio::read_u64(ps);
+      if (keyed > 1) {
+        throw std::runtime_error("ledger snapshot: corrupt key mode");
+      }
+      if ((keyed == 1) != policy_.key_by_publisher) {
+        throw std::runtime_error(
+            "ledger snapshot: key_by_publisher mismatch with policy");
+      }
+      const std::uint64_t count = sio::read_u64(ps);
+      if (count > policy_.max_sources) {
+        throw std::runtime_error("ledger snapshot: " + std::to_string(count) +
+                                 " records exceed max_sources " +
+                                 std::to_string(policy_.max_sources));
+      }
+      loaded.reserve(count);
+      std::uint64_t prev_key = 0;
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t key = sio::read_u64(ps);
+        if (i > 0 && key <= prev_key) {
+          throw std::runtime_error(
+              "ledger snapshot: record keys out of order (corrupt snapshot)");
+        }
+        prev_key = key;
+        if (!policy_.key_by_publisher && (key >> 32) != 0) {
+          throw std::runtime_error(
+              "ledger snapshot: publisher bits set in an ip-keyed ledger");
+        }
+        SourceState s;
+        s.clicks = sio::read_u64(ps);
+        s.duplicates = sio::read_u64(ps);
+        s.rate = std::bit_cast<double>(sio::read_u64(ps));
+        s.score = std::bit_cast<double>(sio::read_u64(ps));
+        s.last_seen_us = sio::read_u64(ps);
+        const std::uint64_t tier = sio::read_u64(ps);
+        s.tier_since_us = sio::read_u64(ps);
+        s.blocked_until_us = sio::read_u64(ps);
+        if (s.duplicates > s.clicks) {
+          throw std::runtime_error(
+              "ledger snapshot: duplicates exceed clicks (corrupt record)");
+        }
+        if (tier > static_cast<std::uint64_t>(Tier::kBlocked)) {
+          throw std::runtime_error("ledger snapshot: tier " +
+                                   std::to_string(tier) + " out of range");
+        }
+        s.tier = static_cast<Tier>(tier);
+        if (!std::isfinite(s.rate) || s.rate < 0.0 || s.rate > 1.0 ||
+            !std::isfinite(s.score) || s.score < 0.0) {
+          throw std::runtime_error(
+              "ledger snapshot: rate/score out of domain (corrupt record)");
+        }
+        ++counts[static_cast<std::size_t>(s.tier)];
+        loaded.emplace(key, s);
+      }
+      st.observed = sio::read_u64(ps);
+      st.duplicates = sio::read_u64(ps);
+      st.promotions = sio::read_u64(ps);
+      st.demotions = sio::read_u64(ps);
+      st.block_expiries = sio::read_u64(ps);
+      st.dropped_admissions = sio::read_u64(ps);
+      offenders_.restore(ps);
+    });
     sources_ = std::move(loaded);
     stats_ = st;
     tier_count_ = counts;

@@ -569,12 +569,10 @@ namespace {
 /// save_sink_snapshot writes to disk and replication_snapshot ships over
 /// the wire, byte for byte the same.
 std::string encode_sink_snapshot(const ClickSink& sink) {
-  std::ostringstream payload(std::ios::binary);
-  sink.save_state(payload);
   std::ostringstream file(std::ios::binary);
   core::detail::write_section(file, core::detail::kServerSnapshotMagic,
-                              payload.str());
-  return file.str();
+                              [&](std::ostream& ps) { sink.save_state(ps); });
+  return std::move(file).str();
 }
 
 }  // namespace
@@ -649,18 +647,17 @@ void IngestServer::restore_sink_snapshot(ClickSink& sink,
 }
 
 void IngestServer::restore_sink_snapshot(ClickSink& sink, std::istream& in) {
-  const std::string payload = core::detail::read_section(
-      in, core::detail::kServerSnapshotMagic, "server snapshot");
-  if (in.peek() != std::istream::traits_type::eof()) {
-    throw std::runtime_error(
-        "snapshot: trailing bytes after server snapshot section");
-  }
-  std::istringstream ps(payload, std::ios::binary);
-  sink.restore_state(ps);
-  if (ps.peek() != std::istringstream::traits_type::eof()) {
-    throw std::runtime_error(
-        "snapshot: trailing bytes after sink state (corrupt snapshot)");
-  }
+  core::detail::read_section(
+      in, core::detail::kServerSnapshotMagic, "server snapshot",
+      [&](std::istream& ps) {
+        // `in` is already past the section: refuse a file with anything
+        // after it before the sink is touched.
+        if (in.peek() != std::istream::traits_type::eof()) {
+          throw std::runtime_error(
+              "snapshot: trailing bytes after server snapshot section");
+        }
+        sink.restore_state(ps);
+      });
 }
 
 }  // namespace ppc::server

@@ -155,24 +155,18 @@ class PoolSink final : public ClickSink {
   /// not, so concurrent offers for one ad are only safe when the detector
   /// itself is.
   explicit PoolSink(adnet::DetectorPool& pool,
-                    runtime::ThreadPool* fanout = nullptr,
                     bool concurrent_detectors = false)
-      : pool_(pool), fanout_(fanout),
-        concurrent_detectors_(concurrent_detectors) {}
+      : pool_(pool), concurrent_detectors_(concurrent_detectors) {}
   void offer(std::span<const std::uint32_t> ad_ids,
              std::span<const core::ClickId> ids,
              std::span<const std::uint64_t> times,
              std::span<bool> out) override {
-    pool_.offer_batch(ad_ids, ids, times, out, fanout_);
+    pool_.offer_batch(ad_ids, ids, times, out);
   }
   std::string describe() const override {
     return "DetectorPool[" + std::to_string(pool_.size()) + " ads]";
   }
-  bool concurrent() const override {
-    // A shared fan-out pool would have two loops pushing groups into the
-    // same worker queue mid-batch; keep that combination serialized.
-    return concurrent_detectors_ && fanout_ == nullptr;
-  }
+  bool concurrent() const override { return concurrent_detectors_; }
   /// The pool's sectioned format always exists; whether each per-ad
   /// detector can serialize depends on the pool's factory. Every factory
   /// the serving stack wires up (server_config build_detector backends)
@@ -192,7 +186,6 @@ class PoolSink final : public ClickSink {
 
  private:
   adnet::DetectorPool& pool_;
-  runtime::ThreadPool* fanout_;
   bool concurrent_detectors_;
 };
 

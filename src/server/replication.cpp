@@ -585,7 +585,7 @@ bool ReplicationApplier::on_snapshot(std::span<const std::uint8_t> payload,
   // Final chunk: validate + restore through the same envelope reader the
   // snapshot files use. A damaged transfer throws; the cursor does not
   // move and the follower re-handshakes.
-  std::istringstream in(snap_bytes_, std::ios::binary);
+  std::istringstream in(std::move(snap_bytes_), std::ios::binary);
   const std::uint64_t base = snap_base_seq_;
   reset_transfer();
   try {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -394,13 +395,20 @@ std::string saved_bytes(const ReputationLedger& ledger) {
 
 std::string rewrap(const std::string& payload) {
   std::stringstream out;
-  detail::write_section(out, detail::kEnforceMagic, payload);
+  detail::write_section(out, detail::kEnforceMagic, [&](std::ostream& body) {
+    body.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  });
   return out.str();
 }
 
 std::string unwrap(const std::string& bytes) {
   std::stringstream in(bytes);
-  return detail::read_section(in, detail::kEnforceMagic, "fuzz");
+  std::string payload;
+  const auto take = [&](std::istream& body) {
+    payload.assign(std::istreambuf_iterator<char>(body), {});
+  };
+  detail::read_section(in, detail::kEnforceMagic, "fuzz", take);
+  return payload;
 }
 
 /// A ledger with every tier populated, blocks live, decayed scores — the

@@ -4,8 +4,8 @@
 // every algorithm the DetectorFactory can select; zero-false-negatives
 // must hold end-to-end on an adversarial duplicate-heavy Zipf stream and
 // under concurrent batch producers; and DetectorPool's batch route path
-// must match its sequential path while being driven from pool worker
-// threads, including over sharded per-ad detectors.
+// must match its sequential path, including over sharded per-ad detectors
+// fanned out across their own shard threads.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -284,26 +284,22 @@ TEST(DetectorPoolBatch, MatchesSequentialRoutingAcrossWorkerThreads) {
     expected[i] = sequential.offer(ad_ids[i], ids[i], 0);
   }
 
-  for (const std::size_t threads : {1u, 4u}) {
-    DetectorPool batched(per_ad_tbf);
-    runtime::ThreadPool pool(threads);
-    std::vector<char> out(n);
-    constexpr std::size_t kBatchLen = 777;
-    for (std::size_t off = 0; off < n; off += kBatchLen) {
-      const std::size_t len = std::min(kBatchLen, n - off);
-      batched.offer_batch(
-          std::span<const std::uint32_t>(ad_ids.data() + off, len),
-          std::span<const core::ClickId>(ids.data() + off, len),
-          std::span<bool>(reinterpret_cast<bool*>(out.data()) + off, len),
-          /*time_us=*/0, &pool);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i] != 0, expected[i])
-          << "threads=" << threads << " diverged at " << i;
-    }
-    EXPECT_EQ(batched.size(), sequential.size());
-    EXPECT_EQ(batched.memory_bits(), sequential.memory_bits());
+  DetectorPool batched(per_ad_tbf);
+  std::vector<char> out(n);
+  constexpr std::size_t kBatchLen = 777;
+  for (std::size_t off = 0; off < n; off += kBatchLen) {
+    const std::size_t len = std::min(kBatchLen, n - off);
+    batched.offer_batch(
+        std::span<const std::uint32_t>(ad_ids.data() + off, len),
+        std::span<const core::ClickId>(ids.data() + off, len),
+        std::span<bool>(reinterpret_cast<bool*>(out.data()) + off, len),
+        /*time_us=*/0);
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(out[i] != 0, expected[i]) << "diverged at " << i;
+  }
+  EXPECT_EQ(batched.size(), sequential.size());
+  EXPECT_EQ(batched.memory_bits(), sequential.memory_bits());
 }
 
 TEST(DetectorPoolBatch, ShardedPerAdDetectorsMatchSequential) {

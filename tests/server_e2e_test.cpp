@@ -37,7 +37,7 @@ class LoopbackServer {
         pool_([cfg](std::uint32_t) { return build_detector(cfg); }),
         // Sharded per-ad detectors are individually thread-safe, so a
         // multi-loop server may offer concurrently (mirrors ppcd).
-        sink_(pool_, nullptr, /*concurrent_detectors=*/cfg.shards > 1),
+        sink_(pool_, /*concurrent_detectors=*/cfg.shards > 1),
         server_(sink_, opts) {
     port_ = server_.listen("127.0.0.1", 0);
     thread_ = std::thread([this] { server_.run(); });

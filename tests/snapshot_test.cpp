@@ -5,16 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "adnet/detector_pool.hpp"
+#include "adnet/tiered_detector_pool.hpp"
+#include "core/age_partitioned_bloom_filter.hpp"
 #include "core/group_bloom_filter.hpp"
 #include "core/sharded_detector.hpp"
 #include "core/snapshot_io.hpp"
 #include "core/timing_bloom_filter.hpp"
 #include "detector_test_util.hpp"
+#include "enforce/reputation_ledger.hpp"
+#include "server/ingest_server.hpp"
 
 namespace ppc::core {
 namespace {
@@ -283,7 +290,9 @@ TEST(ShardedSnapshotFuzz, EveryByteFlipRejected) {
 /// payload-level validation stands between the forgery and the filter.
 std::string rewrap(std::uint64_t magic, const std::string& payload) {
   std::stringstream out;
-  detail::write_section(out, magic, payload);
+  detail::write_section(out, magic, [&](std::ostream& body) {
+    body.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  });
   return out.str();
 }
 
@@ -291,7 +300,11 @@ std::string rewrap(std::uint64_t magic, const std::string& payload) {
 std::string unwrap(std::uint64_t magic, const std::string& bytes,
                    const char* what) {
   std::stringstream in(bytes);
-  return detail::read_section(in, magic, what);
+  std::string payload;
+  detail::read_section(in, magic, what, [&](std::istream& body) {
+    payload.assign(std::istreambuf_iterator<char>(body), {});
+  });
+  return payload;
 }
 
 TEST(ShardedSnapshotFuzz, ForgedShardCountWithValidCrcRejected) {
@@ -309,17 +322,6 @@ TEST(ShardedSnapshotFuzz, ForgedShardCountWithValidCrcRejected) {
     EXPECT_THROW(target->restore(in), std::exception)
         << "count " << forged_count;
   }
-}
-
-TEST(ShardedSnapshotFuzz, TrailingPayloadGarbageRejected) {
-  auto sharded = make_tiny_sharded(2);
-  sharded->offer(1);
-  std::string payload =
-      unwrap(detail::kShardedMagic, saved_bytes(*sharded), "fuzz");
-  payload += "extra";
-  auto target = make_tiny_sharded(2);
-  std::stringstream in(rewrap(detail::kShardedMagic, payload));
-  EXPECT_THROW(target->restore(in), std::runtime_error);
 }
 
 TEST(ShardedSnapshotFuzz, RandomGarbageRejected) {
@@ -545,6 +547,110 @@ TEST(PoolSnapshot, RestoreEnforcesMemoryCap) {
   std::stringstream in(bytes);
   EXPECT_THROW(target.restore(in), std::length_error);
 }
+
+// --- every section format: payload garbage behind a VALID CRC -----------
+
+/// A small saved section of the layer that owns `magic`, and how to restore
+/// a section into a fresh instance of that layer.
+struct SectionCase {
+  std::string bytes;
+  std::function<void(std::istream&)> restore;
+};
+
+SectionCase section_case(std::uint64_t magic) {
+  switch (magic) {
+    case detail::kShardedMagic: {
+      auto sharded = make_tiny_sharded(2);
+      sharded->offer(1);
+      return {saved_bytes(*sharded),
+              [](std::istream& in) { make_tiny_sharded(2)->restore(in); }};
+    }
+    case detail::kPoolMagic: {
+      adnet::DetectorPool pool = make_tiny_pool();
+      pool.offer(7, 1, 0);
+      return {saved_pool_bytes(pool),
+              [](std::istream& in) { make_tiny_pool().restore(in); }};
+    }
+    case detail::kTieredPoolMagic: {
+      const auto make = [] {
+        adnet::TieredPoolOptions o;
+        o.memory_cap_bits = std::size_t{1} << 22;
+        o.hot_window = WindowSpec::sliding_count(64);
+        o.tail_window_clicks = 1 << 10;
+        o.hh_capacity = 8;
+        o.epoch_clicks = 1 << 8;
+        return std::make_unique<adnet::TieredDetectorPool>(o);
+      };
+      auto pool = make();
+      pool->offer(3, 1, 0);
+      std::stringstream out;
+      pool->save(out);
+      return {out.str(), [make](std::istream& in) { make()->restore(in); }};
+    }
+    case detail::kApbfMagic: {
+      const auto make = [] {
+        AgePartitionedBloomFilter::Options o;
+        o.bits_per_slice = 1 << 8;
+        o.consecutive = 3;
+        o.generations = 2;
+        return std::make_unique<AgePartitionedBloomFilter>(
+            WindowSpec::sliding_count(64), o);
+      };
+      auto apbf = make();
+      apbf->offer(1);
+      return {saved_bytes(*apbf),
+              [make](std::istream& in) { make()->restore(in); }};
+    }
+    case detail::kEnforceMagic: {
+      enforce::ReputationLedger ledger{enforce::EnforcementPolicy{}};
+      ledger.observe(0x0a000001, 0, true, 1000);
+      std::stringstream out;
+      ledger.save(out);
+      return {out.str(), [](std::istream& in) {
+                enforce::ReputationLedger{enforce::EnforcementPolicy{}}
+                    .restore(in);
+              }};
+    }
+    case detail::kServerSnapshotMagic: {
+      auto sharded = make_tiny_sharded(2);
+      sharded->offer(1);
+      server::DetectorSink sink(*sharded);
+      const std::string path = ::testing::TempDir() + "/trailing.snap";
+      server::IngestServer::save_sink_snapshot(sink, path);
+      std::ifstream file(path, std::ios::binary);
+      return {std::string(std::istreambuf_iterator<char>(file), {}),
+              [](std::istream& in) {
+                auto target = make_tiny_sharded(2);
+                server::DetectorSink target_sink(*target);
+                server::IngestServer::restore_sink_snapshot(target_sink, in);
+              }};
+    }
+  }
+  throw std::logic_error("no section case for this magic");
+}
+
+class SectionTrailingGarbage
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SectionTrailingGarbage, RejectedDespiteValidCrc) {
+  const std::uint64_t magic = GetParam();
+  const SectionCase c = section_case(magic);
+  std::string payload = unwrap(magic, c.bytes, "fuzz");
+  {  // the re-wrapped payload itself restores
+    std::stringstream in(rewrap(magic, payload));
+    ASSERT_NO_THROW(c.restore(in));
+  }
+  payload += "extra";
+  std::stringstream in(rewrap(magic, payload));
+  EXPECT_THROW(c.restore(in), std::runtime_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSections, SectionTrailingGarbage,
+    ::testing::Values(detail::kShardedMagic, detail::kPoolMagic,
+                      detail::kTieredPoolMagic, detail::kApbfMagic,
+                      detail::kEnforceMagic, detail::kServerSnapshotMagic),
+    [](const auto& info) { return detail::section_name(info.param); });
 
 }  // namespace
 }  // namespace ppc::core

@@ -6,15 +6,20 @@
 #      hardware threads (without --oversubscribe-loops) with clear errors,
 #      and ppcd / ppc_loadgen must refuse any flag they do not read
 #      (a retired flag like --engine=on, or a misspelling) with exit 2;
-#   3. the same suite built with -DPPC_DISABLE_SIMD=ON — the scalar-only
+#   3. the frozen wire benchmark's own tests (python3
+#      perfbench/test_perfbench.py): it builds ppcd and its harness from
+#      this checkout, so a src/ change that breaks the harness build or
+#      its correctness gates (replay bit-identity, zero false negatives,
+#      follower snapshot byte-identity) fails here;
+#   4. the same suite built with -DPPC_DISABLE_SIMD=ON — the scalar-only
 #      escape hatch must stay green AND produce identical verdicts (the
 #      parity/equivalence tests run in both builds, so a divergence between
 #      the SIMD and scalar index kernels fails here);
-#   4. AddressSanitizer and UndefinedBehaviorSanitizer builds
+#   5. AddressSanitizer and UndefinedBehaviorSanitizer builds
 #      (PPC_SANITIZE=address / undefined) of the full ctest suite, both
 #      with halt_on_error=1 — the memory-safety gate for the wire decoder,
 #      the snapshot readers, and every fuzz test;
-#   5. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
+#   6. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
 #      tests — sharded_test, runtime_test, parallel_batch_test,
 #      batch_times_test (per-shard mutexes and ThreadPool fan-out), the
 #      network ingest pair wire_fuzz_test / server_e2e_test (event loop
@@ -81,6 +86,9 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
       echo "FAIL: '$cmd' exited $RC without naming --$BAD: $OUT"; exit 1
     fi
   done
+
+  echo "== benchmark gate: perfbench's own tests =="
+  python3 perfbench/test_perfbench.py
 
   echo "== tier-1 (scalar): -DPPC_DISABLE_SIMD=ON build + ctest =="
   cmake -B build-nosimd -S . -DPPC_DISABLE_SIMD=ON \

@@ -281,9 +281,8 @@ int main(int argc, char** argv) {
           pool_opts);
       // shards > 1 → the factory builds ShardedDetectors, which are
       // individually thread-safe, so multi-loop offers need no serializing.
-      sink = std::make_unique<server::PoolSink>(*pool, nullptr,
-                                                /*concurrent_detectors=*/
-                                                cfg.shards > 1);
+      sink = std::make_unique<server::PoolSink>(
+          *pool, /*concurrent_detectors=*/cfg.shards > 1);
     } else if (sink_kind == "tiered") {
       server::TieredConfig tcfg;
       tcfg.memory_cap_bits = flag_u64(flags, "memory-cap-mib", 1024) << 23;
