@@ -3,7 +3,8 @@
 // with per-tier FPR measured against a validity oracle and the zero-FN
 // tier-move guarantee checked on every injected duplicate.
 //
-// Arms (interleaved per repetition so drift hits both equally):
+// Arms (interleaved per repetition so drift hits both equally; 5 reps,
+// tiered throughput reported as median and quartiles):
 //   tiered      — TieredDetectorPool under the cap: throughput, per-tier
 //                 FPR, FN count (must be 0), promotions/demotions/deferrals.
 //   naive_pool  — the pre-tiering DetectorPool with the SAME cap and the
@@ -17,7 +18,8 @@
 // that is BOTH within its ad's hot window (gap <= hot_window/2 ad-clicks)
 // and within the tail window (gap <= tail_window/2 global arrivals), so by
 // the tier-move guarantee (DESIGN.md "Tier moves") the pool must flag every
-// one of them — a miss is a false negative, and the bench reports it.
+// one of them — a miss is a false negative: the bench reports it and exits
+// 1, so it doubles as a zero-FN gate.
 //
 //   ./multitenant_pool --paper --json=BENCH_multitenant_pool.json
 #include <cstdint>
@@ -308,12 +310,17 @@ int main(int argc, char** argv) {
   benchutil::print_header({"series", "rep", "mclicks/s", "fn", "fpr_hot",
                            "fpr_tail", "hot_ads", "mem_mbit"});
 
-  constexpr int kReps = 3;
+  constexpr int kReps = 5;
+  json.set_meta("reps", static_cast<double>(kReps));
+  std::vector<double> tiered_mcps;
+  std::uint64_t total_fn = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(rep);
 
     const TieredResult t = run_tiered(sz, opts, seed);
     const double mcps = static_cast<double>(sz.clicks) / t.secs / 1e6;
+    tiered_mcps.push_back(mcps);
+    total_fn += t.fn;
     const double fpr_hot =
         t.fresh_hot > 0
             ? static_cast<double>(t.fp_hot) / static_cast<double>(t.fresh_hot)
@@ -373,10 +380,19 @@ int main(int argc, char** argv) {
     }
   }
 
+  const benchutil::Spread spread = benchutil::spread_of(tiered_mcps);
+  std::printf("\ntiered: median %.3f Mclicks/s (IQR %.3f-%.3f) over %d reps\n",
+              spread.median, spread.q1, spread.q3, kReps);
+  json.add("tiered_spread", {{"mclicks_per_s", spread.median},
+                             {"mclicks_per_s_q1", spread.q1},
+                             {"mclicks_per_s_q3", spread.q3}});
+
   std::printf(
       "\n(tiered serves the whole stream inside the cap; naive_pool is the\n"
       " pre-tiering DetectorPool with the same cap and per-ad plan, which\n"
       " stops at its first over-budget first-seen ad with length_error.)\n");
   json.write();
-  return 0;
+  // A missed in-window duplicate breaks the tier-move guarantee: fail the
+  // run so scripts and CI gates see it, not just the log.
+  return total_fn == 0 ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "adnet/tiered_detector_pool.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,11 @@ namespace {
 
 /// Sanity cap on restored hot ads, mirroring DetectorPool::kMaxSnapshotAds.
 constexpr std::uint64_t kMaxSnapshotHotAds = std::uint64_t{1} << 20;
+
+/// Clicks whose composite keys go through the tail's offer_batch at once:
+/// long enough for its hash-and-prefetch pipeline to run ahead, short
+/// enough for the key, time and verdict buffers to live on the stack.
+constexpr std::size_t kTailChunk = 256;
 
 }  // namespace
 
@@ -149,53 +155,82 @@ void TieredDetectorPool::maintain_locked() {
   epoch_start_time_us_ = last_time_us_;
 }
 
-bool TieredDetectorPool::offer_locked(std::uint32_t ad_id, core::ClickId id,
-                                      std::uint64_t time_us) {
-  ++clicks_;
-  ++epoch_clicks_seen_;
-  last_time_us_ = std::max(last_time_us_, time_us);
-  hh_.offer(ad_id);
-
+void TieredDetectorPool::route_locked(std::span<const std::uint32_t> ad_ids,
+                                      std::span<const core::ClickId> ids,
+                                      const std::uint64_t* times,
+                                      std::uint64_t time_us,
+                                      std::span<bool> out) {
   // EVERY click shadows into the tail on its composite key — this is what
   // makes tier moves lossless (header comment): the tail always holds the
   // last tail_window_clicks arrivals no matter which tier served them.
-  const bool tail_dup =
-      tail_->offer(core::composite_click_key(ad_id, id), time_us);
-
-  bool dup;
-  const auto it = hot_.find(ad_id);
-  if (it != hot_.end()) {
-    HotEntry& entry = it->second;
-    ++entry.epoch_count;
-    const bool hot_dup = entry.detector->offer(id, time_us);
-    bool in_grace;
-    if (opts_.hot_window.basis == core::WindowBasis::kCount) {
-      in_grace = entry.grace_left > 0;
-      if (in_grace) --entry.grace_left;
-    } else {
-      in_grace = time_us < entry.grace_until_us;
+  // The tail takes each chunk through its pipelined offer_batch before the
+  // chunk is routed. That is exact: the tail sees the same keys in the
+  // same order, and nothing else touches it — maintenance and promotion
+  // read and write only the hot tier, the summary and the counters — so
+  // an epoch boundary may fall anywhere inside a chunk (DESIGN.md "Tier
+  // moves").
+  std::array<core::ClickId, kTailChunk> keys;
+  std::array<std::uint64_t, kTailChunk> chunk_times;
+  std::array<bool, kTailChunk> tail_out;
+  const bool count_hot = opts_.hot_window.basis == core::WindowBasis::kCount;
+  for (std::size_t base = 0; base < ids.size(); base += kTailChunk) {
+    const std::size_t n = std::min(kTailChunk, ids.size() - base);
+    for (std::size_t j = 0; j < n; ++j) {
+      keys[j] = core::composite_click_key(ad_ids[base + j], ids[base + j]);
+      chunk_times[j] = times != nullptr ? times[base + j] : time_us;
     }
-    // During the handover grace the hot detector is still blind to
-    // pre-promotion originals, so the tail's verdict counts; afterwards it
-    // is ignored and hot FPR is the hot plan's alone.
-    dup = hot_dup || (in_grace && tail_dup);
-    ++hot_clicks_;
-    hot_duplicates_ += dup ? 1 : 0;
-  } else {
-    dup = tail_dup;
-    ++tail_clicks_;
-    tail_duplicates_ += dup ? 1 : 0;
-  }
-  duplicates_ += dup ? 1 : 0;
+    tail_->offer_batch(std::span<const core::ClickId>(keys.data(), n),
+                       std::span<const std::uint64_t>(chunk_times.data(), n),
+                       std::span<bool>(tail_out.data(), n));
 
-  if (epoch_clicks_seen_ >= opts_.epoch_clicks) maintain_locked();
-  return dup;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint32_t ad_id = ad_ids[base + j];
+      const std::uint64_t t = chunk_times[j];
+      ++clicks_;
+      ++epoch_clicks_seen_;
+      last_time_us_ = std::max(last_time_us_, t);
+      hh_.offer(ad_id);
+
+      bool dup;
+      const auto it = hot_.find(ad_id);
+      if (it != hot_.end()) {
+        HotEntry& entry = it->second;
+        ++entry.epoch_count;
+        const bool hot_dup = entry.detector->offer(ids[base + j], t);
+        bool in_grace;
+        if (count_hot) {
+          in_grace = entry.grace_left > 0;
+          if (in_grace) --entry.grace_left;
+        } else {
+          in_grace = t < entry.grace_until_us;
+        }
+        // During the handover grace the hot detector is still blind to
+        // pre-promotion originals, so the tail's verdict counts;
+        // afterwards it is ignored and hot FPR is the hot plan's alone.
+        dup = hot_dup || (in_grace && tail_out[j]);
+        ++hot_clicks_;
+        hot_duplicates_ += dup ? 1 : 0;
+      } else {
+        dup = tail_out[j];
+        ++tail_clicks_;
+        tail_duplicates_ += dup ? 1 : 0;
+      }
+      duplicates_ += dup ? 1 : 0;
+      out[base + j] = dup;
+
+      if (epoch_clicks_seen_ >= opts_.epoch_clicks) maintain_locked();
+    }
+  }
 }
 
 bool TieredDetectorPool::offer(std::uint32_t ad_id, core::ClickId id,
                                std::uint64_t time_us) {
+  bool dup = false;
   const std::lock_guard<std::mutex> lock(mutex_);
-  return offer_locked(ad_id, id, time_us);
+  route_locked(std::span<const std::uint32_t>(&ad_id, 1),
+               std::span<const core::ClickId>(&id, 1), nullptr, time_us,
+               std::span<bool>(&dup, 1));
+  return dup;
 }
 
 void TieredDetectorPool::offer_batch(std::span<const std::uint32_t> ad_ids,
@@ -208,9 +243,7 @@ void TieredDetectorPool::offer_batch(std::span<const std::uint32_t> ad_ids,
         "TieredDetectorPool::offer_batch: span mismatch");
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = offer_locked(ad_ids[i], ids[i], time_us);
-  }
+  route_locked(ad_ids, ids, nullptr, time_us, out);
 }
 
 void TieredDetectorPool::offer_batch(std::span<const std::uint32_t> ad_ids,
@@ -223,9 +256,7 @@ void TieredDetectorPool::offer_batch(std::span<const std::uint32_t> ad_ids,
         "TieredDetectorPool::offer_batch: span mismatch");
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = offer_locked(ad_ids[i], ids[i], times[i]);
-  }
+  route_locked(ad_ids, ids, times.data(), 0, out);
 }
 
 bool TieredDetectorPool::ad_is_hot(std::uint32_t ad_id) const {

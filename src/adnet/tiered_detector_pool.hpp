@@ -173,8 +173,13 @@ class TieredDetectorPool {
     std::size_t memory_bits = 0;
   };
 
-  bool offer_locked(std::uint32_t ad_id, core::ClickId id,
-                    std::uint64_t time_us);
+  /// The one routing path behind offer() and both offer_batch overloads.
+  /// `times` holds per-click timestamps, or is null to stamp every click
+  /// with `time_us`.
+  void route_locked(std::span<const std::uint32_t> ad_ids,
+                    std::span<const core::ClickId> ids,
+                    const std::uint64_t* times, std::uint64_t time_us,
+                    std::span<bool> out);
   void maintain_locked();
   /// Builds a hot detector for `ad` sized from `observed` epoch clicks;
   /// returns false (deferral) if it won't fit under the cap.

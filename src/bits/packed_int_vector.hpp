@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -25,16 +26,27 @@ class PackedIntVector {
   PackedIntVector() = default;
 
   /// `size` entries of `bit_width` bits each, all initialized to `fill`.
-  /// `fill` must fit in `bit_width` bits.
+  /// `fill` must fit in `bit_width` bits. One pass over fresh storage: the
+  /// fill's word pattern is appended directly (no zeroing pass first);
+  /// padding bits past size·b and the guard word start at zero.
   PackedIntVector(std::size_t size, std::size_t bit_width, Word fill = 0)
       : size_(size),
         bit_width_(bit_width),
         mask_(bit_width == kWordBits ? ~Word{0}
-                                     : (Word{1} << bit_width) - 1),
-        words_((size * bit_width + kWordBits - 1) / kWordBits + 1, 0) {
+                                     : (Word{1} << bit_width) - 1) {
     assert(bit_width >= 1 && bit_width <= kWordBits);
     assert((fill & ~mask_) == 0);
-    if (fill != 0) fill_all(fill);
+    const std::size_t full = payload_bits() / kWordBits;
+    const std::size_t rem = payload_bits() % kWordBits;
+    words_.reserve(full + (rem != 0 ? 1 : 0) + 1);
+    Word pattern[kWordBits];
+    const std::size_t period = fill_pattern(fill, pattern);
+    for (std::size_t w = 0; w < full; w += period) {
+      words_.insert(words_.end(), pattern,
+                    pattern + std::min(period, full - w));
+    }
+    if (rem != 0) words_.push_back(pattern[full % period] & low_bits(rem));
+    words_.push_back(0);  // guard word
   }
 
   std::size_t size() const noexcept { return size_; }
@@ -73,9 +85,23 @@ class PackedIntVector {
     }
   }
 
-  /// Sets every entry to `value`. O(size), used at construction/reset only.
+  /// Sets every entry to `value` by tiling its word pattern: O(size·b/64)
+  /// word stores, used at reset only. The padding bits past size·b and the
+  /// guard word keep their contents, exactly as a per-entry set() loop
+  /// would leave them (raw_words() is what snapshots serialize).
   void fill_all(Word value) noexcept {
-    for (std::size_t i = 0; i < size_; ++i) set(i, value);
+    assert((value & ~mask_) == 0);
+    Word pattern[kWordBits];
+    const std::size_t period = fill_pattern(value, pattern);
+    const std::size_t full = payload_bits() / kWordBits;
+    for (std::size_t w = 0; w < full; w += period) {
+      std::copy_n(pattern, std::min(period, full - w), words_.begin() + w);
+    }
+    const std::size_t rem = payload_bits() % kWordBits;
+    if (rem != 0) {
+      const Word low = low_bits(rem);
+      words_[full] = (words_[full] & ~low) | (pattern[full % period] & low);
+    }
   }
 
   /// Hints the CPU to pull entry `i`'s word(s) into cache ahead of a read.
@@ -97,6 +123,26 @@ class PackedIntVector {
   }
 
  private:
+  static Word low_bits(std::size_t n) noexcept { return (Word{1} << n) - 1; }
+
+  /// Writes the packed bit stream of `value` repeated back to back into
+  /// `pattern` and returns its period in words, b / gcd(b, 64) (≤ 64):
+  /// word w of any filled vector is pattern[w % period].
+  std::size_t fill_pattern(Word value, Word* pattern) const noexcept {
+    const std::size_t period = bit_width_ / std::gcd(bit_width_, kWordBits);
+    for (std::size_t w = 0; w < period; ++w) {
+      // Word w starts `off` bits into an entry: its low bits are that
+      // entry's high bits, followed by whole copies of the value.
+      const std::size_t off = (w * kWordBits) % bit_width_;
+      Word word = value >> off;
+      for (std::size_t s = bit_width_ - off; s < kWordBits; s += bit_width_) {
+        word |= value << s;
+      }
+      pattern[w] = word;
+    }
+    return period;
+  }
+
   std::size_t size_ = 0;
   std::size_t bit_width_ = 1;
   Word mask_ = 1;

@@ -3,6 +3,7 @@
 // in the library depends on these being exactly right.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -118,6 +119,49 @@ TEST(PackedIntVector, FillInitialization) {
   PackedIntVector v(1000, 21, (1u << 21) - 1);
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_EQ(v.get(i), (1u << 21) - 1);
+  }
+}
+
+// fill_all tiles a precomputed word pattern; it must leave exactly the raw
+// words (padding bits and guard word included — snapshots serialize them)
+// that one set() per entry leaves, at every width and at sizes whose
+// payload ends just before, on, and just after a word boundary.
+TEST(PackedIntVector, WordFillMatchesPerEntrySetAtEveryWidth) {
+  for (std::size_t width = 1; width <= 64; ++width) {
+    const std::uint64_t mask =
+        width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    std::vector<std::size_t> sizes = {0, 1, 2, 3};
+    for (std::size_t words : {1, 2, 3, 5, 64, 65}) {
+      const std::size_t at = words * 64 / width;
+      for (std::size_t n = at > 3 ? at - 3 : 0; n <= at + 3; ++n) {
+        sizes.push_back(n);
+      }
+    }
+    const std::uint64_t values[] = {mask, 1, 0x9e3779b97f4a7c15ULL & mask, 0};
+    for (const std::size_t n : sizes) {
+      for (const std::uint64_t value : values) {
+        PackedIntVector reference(n, width);
+        for (std::size_t i = 0; i < n; ++i) reference.set(i, value);
+        const PackedIntVector built(n, width, value);
+        ASSERT_TRUE(std::ranges::equal(built.raw_words(),
+                                       reference.raw_words()))
+            << "construct: width " << width << " size " << n;
+
+        // Reset path over dirty words: all-ones padding and guard must
+        // survive fill_all just as they survive set().
+        const std::vector<std::uint64_t> dirty(reference.raw_words().size(),
+                                               ~std::uint64_t{0});
+        PackedIntVector refilled(n, width);
+        refilled.set_raw_words(dirty);
+        refilled.fill_all(value);
+        PackedIntVector reset_ref(n, width);
+        reset_ref.set_raw_words(dirty);
+        for (std::size_t i = 0; i < n; ++i) reset_ref.set(i, value);
+        ASSERT_TRUE(std::ranges::equal(refilled.raw_words(),
+                                       reset_ref.raw_words()))
+            << "fill_all: width " << width << " size " << n;
+      }
+    }
   }
 }
 

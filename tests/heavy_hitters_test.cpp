@@ -1,16 +1,137 @@
 // Tests for the Space-Saving heavy-hitters structure: exactness below
-// capacity, the frequent-item guarantee, error bounds, and Zipf behaviour.
+// capacity, the frequent-item guarantee, error bounds, Zipf behaviour, and
+// a differential check of the flat-array summary against a reference
+// Stream-Summary built from std::list buckets.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
 #include <map>
 #include <sstream>
+#include <string>
+#include <unordered_map>
 
 #include "analysis/heavy_hitters.hpp"
+#include "core/snapshot_io.hpp"
 #include "stream/rng.hpp"
 #include "stream/zipf.hpp"
 
 namespace ppc::analysis {
 namespace {
+
+// Reference model: the textbook Stream-Summary — a std::list of count
+// buckets in ascending order, each a std::list of entries, plus two hash
+// maps from key to entry and bucket. Same order rules as SpaceSaving
+// (increment and insert at the bucket front, evict the back of the minimum
+// bucket, save ascending, restore by appending), same snapshot format.
+class ListSpaceSaving {
+ public:
+  using Entry = SpaceSaving::Entry;
+
+  explicit ListSpaceSaving(std::size_t capacity) : capacity_(capacity) {}
+
+  void offer(std::uint64_t key) {
+    ++stream_length_;
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      increment(bucket_of_[key], it->second);
+      return;
+    }
+    if (index_.size() < capacity_) {
+      if (buckets_.empty() || buckets_.front().count != 1) {
+        buckets_.insert(buckets_.begin(), Bucket{1, {}});
+      }
+      auto bucket = buckets_.begin();
+      bucket->items.push_front(Entry{key, 1, 0});
+      index_[key] = bucket->items.begin();
+      bucket_of_[key] = bucket;
+      return;
+    }
+    auto min_bucket = buckets_.begin();
+    ItemIter victim = std::prev(min_bucket->items.end());
+    index_.erase(victim->key);
+    bucket_of_.erase(victim->key);
+    victim->key = key;
+    victim->error = min_bucket->count;
+    index_[key] = victim;
+    bucket_of_[key] = min_bucket;
+    increment(min_bucket, victim);
+  }
+
+  std::vector<Entry> entries() const {
+    std::vector<Entry> out;
+    for (auto it = buckets_.rbegin(); it != buckets_.rend(); ++it) {
+      for (const Entry& e : it->items) out.push_back(e);
+    }
+    return out;
+  }
+
+  void clear() {
+    buckets_.clear();
+    index_.clear();
+    bucket_of_.clear();
+    stream_length_ = 0;
+  }
+
+  void save(std::ostream& out) const {
+    core::detail::write_u64(out, 0x50504353'53484831ULL);  // "PPCSSHH1"
+    core::detail::write_u64(out, capacity_);
+    core::detail::write_u64(out, stream_length_);
+    core::detail::write_u64(out, index_.size());
+    for (const Bucket& bucket : buckets_) {
+      for (const Entry& e : bucket.items) {
+        core::detail::write_u64(out, e.key);
+        core::detail::write_u64(out, e.count);
+        core::detail::write_u64(out, e.error);
+      }
+    }
+  }
+
+ private:
+  struct Bucket {
+    std::uint64_t count;
+    std::list<Entry> items;
+  };
+  using BucketList = std::list<Bucket>;
+  using ItemIter = std::list<Entry>::iterator;
+
+  void increment(BucketList::iterator bucket, ItemIter item) {
+    const std::uint64_t new_count = bucket->count + 1;
+    auto next = std::next(bucket);
+    if (next == buckets_.end() || next->count != new_count) {
+      next = buckets_.insert(next, Bucket{new_count, {}});
+    }
+    next->items.splice(next->items.begin(), bucket->items, item);
+    bucket_of_[item->key] = next;
+    item->count = new_count;
+    if (bucket->items.empty()) buckets_.erase(bucket);
+  }
+
+  std::size_t capacity_;
+  BucketList buckets_;
+  std::unordered_map<std::uint64_t, ItemIter> index_;
+  std::unordered_map<std::uint64_t, BucketList::iterator> bucket_of_;
+  std::uint64_t stream_length_ = 0;
+};
+
+template <typename Summary>
+std::string bytes_of(const Summary& s) {
+  std::ostringstream out(std::ios::binary);
+  s.save(out);
+  return out.str();
+}
+
+void expect_same_entries(const SpaceSaving& flat, const ListSpaceSaving& ref,
+                         const std::string& where) {
+  const auto a = flat.entries();
+  const auto b = ref.entries();
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].key, b[i].key) << where << " entry " << i;
+    ASSERT_EQ(a[i].count, b[i].count) << where << " entry " << i;
+    ASSERT_EQ(a[i].error, b[i].error) << where << " entry " << i;
+  }
+}
 
 TEST(SpaceSaving, RejectsZeroCapacity) {
   EXPECT_THROW(SpaceSaving(0), std::invalid_argument);
@@ -175,6 +296,74 @@ TEST(SpaceSaving, RestoreRejectsCapacityMismatchAndCorruption) {
   EXPECT_THROW(target.restore(corrupt), std::runtime_error);
   EXPECT_EQ(target.monitored(), 0u) << "failed restore must leave it cleared";
 }
+
+struct DiffCase {
+  std::size_t capacity;
+  bool zipf;
+};
+
+class SpaceSavingDiffTest : public ::testing::TestWithParam<DiffCase> {};
+
+// The flat summary must track the reference entry for entry — same keys,
+// counts, errors, and order — and save identical bytes, through evictions,
+// epoch-style clear(), and a save -> restore -> continue handover.
+TEST_P(SpaceSavingDiffTest, MatchesListReference) {
+  const DiffCase c = GetParam();
+  const std::uint64_t universe = 16 * c.capacity + 64;
+  stream::ZipfSampler zipf(universe, 1.1);
+  stream::Rng rng(c.capacity * 2 + (c.zipf ? 1 : 0));
+  const auto next_key = [&] {
+    const std::uint64_t rank = c.zipf ? zipf.sample(rng) : rng.below(universe);
+    return rank * 0x100000001ULL;  // spread keys beyond 32 bits
+  };
+
+  SpaceSaving flat(c.capacity);
+  ListSpaceSaving ref(c.capacity);
+  constexpr int kClicks = 60'000;
+  for (int i = 1; i <= kClicks; ++i) {
+    const std::uint64_t key = next_key();
+    flat.offer(key);
+    ref.offer(key);
+    if (i % 5'000 == 0) {
+      expect_same_entries(flat, ref, "click " + std::to_string(i));
+      ASSERT_EQ(bytes_of(flat), bytes_of(ref)) << "click " << i;
+    }
+    if (i == kClicks / 3) {  // an epoch boundary
+      flat.clear();
+      ref.clear();
+    }
+  }
+
+  // Save -> restore -> continue: the restored summary must keep evicting
+  // exactly as the reference that never left memory.
+  std::stringstream snap(std::ios::binary | std::ios::in | std::ios::out);
+  flat.save(snap);
+  SpaceSaving restored(c.capacity);
+  restored.restore(snap);
+  ASSERT_EQ(bytes_of(restored), bytes_of(ref));
+  for (int i = 1; i <= kClicks / 2; ++i) {
+    const std::uint64_t key = next_key();
+    restored.offer(key);
+    ref.offer(key);
+    if (i % 5'000 == 0) {
+      expect_same_entries(restored, ref, "restored click " + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(restored.stream_length(), kClicks - kClicks / 3 + kClicks / 2);
+  EXPECT_EQ(bytes_of(restored), bytes_of(ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CapacitiesAndStreams, SpaceSavingDiffTest,
+    ::testing::Values(DiffCase{1, true}, DiffCase{1, false},
+                      DiffCase{2, true}, DiffCase{2, false},
+                      DiffCase{7, true}, DiffCase{7, false},
+                      DiffCase{1024, true}, DiffCase{1024, false},
+                      DiffCase{4096, true}, DiffCase{4096, false}),
+    [](const ::testing::TestParamInfo<DiffCase>& info) {
+      return std::string(info.param.zipf ? "Zipf" : "Uniform") + "Cap" +
+             std::to_string(info.param.capacity);
+    });
 
 }  // namespace
 }  // namespace ppc::analysis

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -107,14 +108,37 @@ TEST(TieredPool, FullBudgetDefersPromotionInsteadOfThrowing) {
   EXPECT_TRUE(pool.offer(5, fresh - 1, 1 << 20));
 }
 
-TEST(TieredPool, BatchMatchesScalarReplay) {
-  // offer_batch must be verdict-for-verdict identical to an offer() loop:
-  // maintenance epochs land on the same click boundaries either way.
-  TieredPoolOptions opts = small_opts();
-  opts.epoch_clicks = 1 << 10;
-  TieredDetectorPool scalar_pool(opts);
-  TieredDetectorPool batch_pool(opts);
+std::string save_bytes(const TieredDetectorPool& pool) {
+  std::ostringstream out(std::ios::binary);
+  pool.save(out);
+  return out.str();
+}
 
+void expect_same_stats(const TierStats& a, const TierStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.clicks, b.clicks) << where;
+  EXPECT_EQ(a.duplicates, b.duplicates) << where;
+  EXPECT_EQ(a.hot_clicks, b.hot_clicks) << where;
+  EXPECT_EQ(a.hot_duplicates, b.hot_duplicates) << where;
+  EXPECT_EQ(a.tail_clicks, b.tail_clicks) << where;
+  EXPECT_EQ(a.tail_duplicates, b.tail_duplicates) << where;
+  EXPECT_EQ(a.hot_ads, b.hot_ads) << where;
+  EXPECT_EQ(a.hot_memory_bits, b.hot_memory_bits) << where;
+  EXPECT_EQ(a.tail_memory_bits, b.tail_memory_bits) << where;
+  EXPECT_EQ(a.memory_bits, b.memory_bits) << where;
+  EXPECT_EQ(a.memory_cap_bits, b.memory_cap_bits) << where;
+  EXPECT_EQ(a.promotions, b.promotions) << where;
+  EXPECT_EQ(a.demotions, b.demotions) << where;
+  EXPECT_EQ(a.promotion_deferrals, b.promotion_deferrals) << where;
+  EXPECT_EQ(a.hot_target_fpr, b.hot_target_fpr) << where;
+  EXPECT_EQ(a.tail_target_fpr, b.tail_target_fpr) << where;
+}
+
+TEST(TieredPool, BatchMatchesScalarReplay) {
+  // Both offer_batch overloads must be verdict-for-verdict, counter-for-
+  // counter and byte-for-byte identical to an offer() loop, at batch sizes
+  // below, at, and above the tail chunk, with 1024-click epochs so batches
+  // straddle maintenance boundaries — for count- and time-basis hot tiers.
   constexpr std::size_t kClicks = 20'000;
   std::vector<std::uint32_t> ads(kClicks);
   std::vector<core::ClickId> ids(kClicks);
@@ -133,30 +157,56 @@ TEST(TieredPool, BatchMatchesScalarReplay) {
     times[i] = i;
   }
 
-  std::vector<bool> scalar_out(kClicks);
-  for (std::size_t i = 0; i < kClicks; ++i) {
-    scalar_out[i] = scalar_pool.offer(ads[i], ids[i], times[i]);
+  for (const core::WindowSpec hot_window :
+       {core::WindowSpec::sliding_count(256),
+        core::WindowSpec::sliding_time(2560, 10)}) {
+    TieredPoolOptions opts = small_opts();
+    opts.hot_window = hot_window;
+    opts.epoch_clicks = 1 << 10;
+    for (const bool per_click_times : {true, false}) {
+      for (const std::size_t batch : {1, 7, 256, 999, 4096}) {
+        const std::string where =
+            hot_window.describe() +
+            (per_click_times ? " times overload" : " shared-time overload") +
+            ", batch " + std::to_string(batch);
+        TieredDetectorPool scalar_pool(opts);
+        TieredDetectorPool batch_pool(opts);
+        std::vector<char> scalar_out(kClicks);
+        std::vector<char> batch_out_raw(kClicks);
+        const std::span<bool> batch_out(
+            reinterpret_cast<bool*>(batch_out_raw.data()), kClicks);
+        for (std::size_t off = 0; off < kClicks; off += batch) {
+          const std::size_t len = std::min(batch, kClicks - off);
+          const auto ad_span =
+              std::span<const std::uint32_t>(ads).subspan(off, len);
+          const auto id_span =
+              std::span<const core::ClickId>(ids).subspan(off, len);
+          if (per_click_times) {
+            batch_pool.offer_batch(
+                ad_span, id_span,
+                std::span<const std::uint64_t>(times).subspan(off, len),
+                batch_out.subspan(off, len));
+          } else {
+            batch_pool.offer_batch(ad_span, id_span,
+                                   batch_out.subspan(off, len), times[off]);
+          }
+          for (std::size_t i = off; i < off + len; ++i) {
+            scalar_out[i] = scalar_pool.offer(
+                ads[i], ids[i], per_click_times ? times[i] : times[off]);
+          }
+        }
+        for (std::size_t i = 0; i < kClicks; ++i) {
+          ASSERT_EQ(scalar_out[i] != 0, batch_out[i])
+              << where << ": verdict diverged at click " << i;
+        }
+        const TierStats a = scalar_pool.stats();
+        expect_same_stats(a, batch_pool.stats(), where);
+        EXPECT_GT(a.promotions, 0u) << where << ": no tier move exercised";
+        EXPECT_GT(a.duplicates, 0u) << where;
+        EXPECT_EQ(save_bytes(scalar_pool), save_bytes(batch_pool)) << where;
+      }
+    }
   }
-  std::vector<char> batch_out_raw(kClicks);
-  const std::span<bool> batch_out(
-      reinterpret_cast<bool*>(batch_out_raw.data()), kClicks);
-  for (std::size_t off = 0; off < kClicks; off += 999) {
-    const std::size_t len = std::min<std::size_t>(999, kClicks - off);
-    batch_pool.offer_batch(
-        std::span<const std::uint32_t>(ads).subspan(off, len),
-        std::span<const core::ClickId>(ids).subspan(off, len),
-        std::span<const std::uint64_t>(times).subspan(off, len),
-        batch_out.subspan(off, len));
-  }
-  for (std::size_t i = 0; i < kClicks; ++i) {
-    ASSERT_EQ(scalar_out[i], batch_out[i]) << "verdict diverged at click " << i;
-  }
-  const TierStats a = scalar_pool.stats();
-  const TierStats b = batch_pool.stats();
-  EXPECT_EQ(a.duplicates, b.duplicates);
-  EXPECT_EQ(a.promotions, b.promotions);
-  EXPECT_EQ(a.demotions, b.demotions);
-  EXPECT_EQ(a.hot_ads, b.hot_ads);
 }
 
 // The tentpole property: a Zipf stream whose hotset SHIFTS between phases,

@@ -6,7 +6,10 @@
 #      hardware threads (without --oversubscribe-loops) with clear errors,
 #      and ppcd / ppc_loadgen must refuse any flag they do not read
 #      (a retired flag like --engine=on, or a misspelling) with exit 2;
-#   3. the frozen wire benchmark's own tests (python3
+#   3. the zero-false-negative gate: bench/multitenant_pool at its default
+#      scale (~2 s) exits 1 if the tiered pool misses any in-window
+#      duplicate across promotions and demotions (also run in step 4);
+#      then the frozen wire benchmark's own tests (python3
 #      perfbench/test_perfbench.py): it builds ppcd and its harness from
 #      this checkout, so a src/ change that breaks the harness build or
 #      its correctness gates (replay bit-identity, zero false negatives,
@@ -87,14 +90,19 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
     fi
   done
 
+  echo "== zero-FN gate: multitenant_pool =="
+  ./build/bench/multitenant_pool
+
   echo "== benchmark gate: perfbench's own tests =="
   python3 perfbench/test_perfbench.py
 
   echo "== tier-1 (scalar): -DPPC_DISABLE_SIMD=ON build + ctest =="
   cmake -B build-nosimd -S . -DPPC_DISABLE_SIMD=ON \
-    -DPPC_BUILD_BENCH=OFF -DPPC_BUILD_EXAMPLES=OFF
+    -DPPC_BUILD_BENCH=ON -DPPC_BUILD_EXAMPLES=OFF
   cmake --build build-nosimd -j "$JOBS"
   (cd build-nosimd && ctest --output-on-failure -j "$JOBS")
+  echo "-- multitenant_pool (scalar)"
+  ./build-nosimd/bench/multitenant_pool
 
   for san in address undefined; do
     echo "== sanitizer gate: PPC_SANITIZE=$san build + ctest =="
