@@ -12,7 +12,6 @@
 #include "hashing/fnv.hpp"
 #include "hashing/index_family.hpp"
 #include "hashing/murmur3.hpp"
-#include "hashing/simd_fmix.hpp"
 #include "hashing/tabulation.hpp"
 #include "hashing/xxhash.hpp"
 
@@ -82,20 +81,12 @@ BENCHMARK(BM_IndexFamily)
                     static_cast<int>(IndexStrategy::kTabulation)},
                    {4, 10, 20}});
 
-// The batched hash stage at each dispatch level: what the offer_batch
-// rings actually pay per key. Compare the kScalar rows against
-// BM_IndexFamily's double-hashing rows (per-key scalar calls) to see the
-// loop-overhead saving, and against the kAvx2/kAvx512 rows for the
-// vectorization saving. Levels above what the CPU supports are skipped.
+// The batched hash stage: what the offer_batch rings actually pay per
+// key. Compare against BM_IndexFamily's double-hashing rows (per-key calls)
+// to see what the multi-key loop saves.
 void BM_IndicesBatch(benchmark::State& state) {
   const auto strategy = static_cast<IndexStrategy>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
-  const auto level = static_cast<simd::Level>(state.range(2));
-  if (level > simd::detected_level()) {
-    state.SkipWithError("level unsupported on this CPU");
-    return;
-  }
-  simd::set_level_override(level);
   IndexFamily family(k, 1u << 20, strategy, 7);
   constexpr std::size_t kKeys = 4096;
   std::vector<std::uint64_t> keys(kKeys);
@@ -106,18 +97,13 @@ void BM_IndicesBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  simd::clear_level_override();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kKeys));
-  state.SetLabel(simd::level_name(level));
 }
 BENCHMARK(BM_IndicesBatch)
     ->ArgsProduct({{static_cast<int>(IndexStrategy::kDoubleHashing),
                     static_cast<int>(IndexStrategy::kCacheLineBlocked)},
-                   {4, 7},
-                   {static_cast<int>(simd::Level::kScalar),
-                    static_cast<int>(simd::Level::kAvx2),
-                    static_cast<int>(simd::Level::kAvx512)}});
+                   {4, 7}});
 
 }  // namespace
 

@@ -3,13 +3,11 @@
 //
 // Sweeps {1,2,3,4} threads × {1,4,16,64} shards × {GBF, blocked-GBF, TBF}
 // over one Zipf click stream (heavy-tailed duplicates, like real ad
-// traffic) and measures three ingestion arms per configuration:
+// traffic) and measures two ingestion arms per configuration:
 //   * offer   — the legacy path: one virtual call + one mutex acquisition
 //     per click, threads = 1 (this is the "single-thread mutex-per-offer
 //     baseline" every speedup is quoted against);
-//   * batch-s — offer_batch with the SIMD hash kernels pinned to their
-//     scalar arm;
-//   * batch   — ShardedDetector::offer_batch, default dispatch:
+//   * batch   — ShardedDetector::offer_batch:
 //     micro-batches bucketized by shard, one lock per shard per batch,
 //     pipelined inner offer_batch, optional fan-out across
 //     ShardedDetector::Options::threads.
@@ -34,7 +32,6 @@
 #include "core/group_bloom_filter.hpp"
 #include "core/sharded_detector.hpp"
 #include "core/timing_bloom_filter.hpp"
-#include "hashing/simd_fmix.hpp"
 #include "stream/rng.hpp"
 #include "stream/zipf.hpp"
 
@@ -176,18 +173,14 @@ int main(int argc, char** argv) {
   json.set_meta("cpu_model", benchutil::cpu_model_string());
   json.set_meta("reps", static_cast<double>(kReps));
   std::printf("sharded ingestion: %zu clicks, batch=%zu, gbf window=%llu, "
-              "tbf window=%llu, %d reps (hardware threads: %zu, simd: %s, "
-              "detected: %s)\n\n",
+              "tbf window=%llu, %d reps (hardware threads: %zu)\n\n",
               ids.size(), kBatch,
               static_cast<unsigned long long>(kGbfWindow),
               static_cast<unsigned long long>(kTbfWindow), kReps,
-              runtime::ThreadPool::hardware_threads(),
-              hashing::simd::level_name(hashing::simd::active_level()),
-              hashing::simd::level_name(hashing::simd::detected_level()));
-  // Medians. The last column is the row's gain over its reference arm:
-  // batch over batch-s (the vectorized hash stage's contribution alone).
-  std::printf("%6s %7s %8s %8s %12s %9s %9s\n", "algo", "shards", "mode",
-              "threads", "Mclicks/s", "speedup", "gain");
+              runtime::ThreadPool::hardware_threads());
+  // Medians; speedup is over the row's mutex-per-offer baseline.
+  std::printf("%6s %7s %8s %8s %12s %9s\n", "algo", "shards", "mode",
+              "threads", "Mclicks/s", "speedup");
   benchutil::print_rule(6, 9);
 
   for (const Algo& algo : algos) {
@@ -204,11 +197,10 @@ int main(int argc, char** argv) {
         }
       }
       const Spread offer = spread_of(offer_cps, 1e-6);
-      std::printf("%6s %7zu %8s %8d %12.3f %9.2f %9s\n", algo.name, shards,
-                  "offer", 1, offer.median, 1.0, "-");
+      std::printf("%6s %7zu %8s %8d %12.3f %9.2f\n", algo.name, shards,
+                  "offer", 1, offer.median, 1.0);
       json.add(algo.name, {{"shards", static_cast<double>(shards)},
                            {"mode_batch", 0},
-                           {"simd", 0},
                            {"threads", 1},
                            {"clicks", static_cast<double>(ids.size())},
                            {"mclicks_per_s", offer.median},
@@ -219,49 +211,24 @@ int main(int argc, char** argv) {
       for (const std::size_t threads : thread_counts) {
         core::ShardedDetector d(shards, algo.factory(shards),
                                 {.threads = threads});
-        run_batch(d, ids);  // warm up filters + caches once for both arms
-
-        std::vector<double> scalar_cps;
+        run_batch(d, ids);  // warm up filters + caches
         std::vector<double> batch_cps;
         for (int rep = 0; rep < kReps; ++rep) {
-          hashing::simd::set_level_override(hashing::simd::Level::kScalar);
-          d.reset();
-          scalar_cps.push_back(run_batch(d, ids));
-          hashing::simd::clear_level_override();
           d.reset();
           batch_cps.push_back(run_batch(d, ids));
         }
-        const Spread scalar = spread_of(scalar_cps, 1e-6);
         const Spread batch = spread_of(batch_cps, 1e-6);
-
-        const double scalar_speedup = scalar.median / offer.median;
         const double speedup = batch.median / offer.median;
-        const double simd_gain = batch.median / scalar.median;
-        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9s\n", algo.name,
-                    shards, "batch-s", threads, scalar.median,
-                    scalar_speedup, "1.00");
-        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f %9.2f\n", algo.name,
-                    shards, "batch", threads, batch.median, speedup,
-                    simd_gain);
+        std::printf("%6s %7zu %8s %8zu %12.3f %9.2f\n", algo.name, shards,
+                    "batch", threads, batch.median, speedup);
         json.add(algo.name, {{"shards", static_cast<double>(shards)},
                              {"mode_batch", 1},
-                             {"simd", 0},
-                             {"threads", static_cast<double>(threads)},
-                             {"clicks", static_cast<double>(ids.size())},
-                             {"mclicks_per_s", scalar.median},
-                             {"mclicks_per_s_q1", scalar.q1},
-                             {"mclicks_per_s_q3", scalar.q3},
-                             {"speedup_vs_mutex_offer", scalar_speedup}});
-        json.add(algo.name, {{"shards", static_cast<double>(shards)},
-                             {"mode_batch", 1},
-                             {"simd", 1},
                              {"threads", static_cast<double>(threads)},
                              {"clicks", static_cast<double>(ids.size())},
                              {"mclicks_per_s", batch.median},
                              {"mclicks_per_s_q1", batch.q1},
                              {"mclicks_per_s_q3", batch.q3},
-                             {"speedup_vs_mutex_offer", speedup},
-                             {"simd_gain_vs_scalar_batch", simd_gain}});
+                             {"speedup_vs_mutex_offer", speedup}});
       }
     }
   }

@@ -271,7 +271,7 @@ void AgePartitionedBloomFilter::offer_batch(std::span<const ClickId> ids,
 
 void AgePartitionedBloomFilter::offer_batch_count(std::span<const ClickId> ids,
                                                   std::span<bool> out) {
-  // Software pipeline: the ring block-hashes ids through the vectorized
+  // Software pipeline: the ring block-hashes ids through the
   // IndexFamily::indices_batch path (same ring as GBF/TBF) and keeps one
   // hashed-and-prefetched block ahead of classification, so the slices have
   // a block's worth of probe words in flight instead of one element's k+l.

@@ -1,21 +1,20 @@
-// BatchHashRing: the SIMD hash stage of the batched ingestion pipeline.
+// BatchHashRing: the hash stage of the batched ingestion pipeline.
 //
-// The GBF/TBF offer_batch pipelines used to derive each element's k filter
-// indices with one scalar IndexFamily call per click, kPipe elements ahead
-// of classification. This ring replaces that per-click hash stage with
-// block hashing: it holds the indices of up to kSlots in-flight elements
-// and refills one BLOCK of kBlock contiguous keys at a time through
-// IndexFamily::indices_batch — the vectorized multi-key path (4–8 fmix64
-// chains per instruction stream, see hashing/simd_fmix.hpp). Two blocks
-// are in flight: while block b is being classified, block b+1 is already
-// hashed and its filter rows prefetched, so prefetches still lead
-// classification by kBlock..2·kBlock elements (the old scalar ring's fixed
-// lead was 16; same memory-level parallelism, cheaper hashing).
+// The GBF/TBF offer_batch pipelines derive each element's k filter indices
+// ahead of classification so the filter rows can be prefetched before they
+// are probed. The ring holds the indices of up to kSlots in-flight
+// elements and refills one BLOCK of kBlock contiguous keys at a time
+// through IndexFamily::indices_batch (one Kirsch–Mitzenmacher evaluation
+// per key, the paper's cost model). Two blocks are in flight: while block
+// b is being classified, block b+1 is already hashed and its filter rows
+// prefetched, so prefetches lead classification by kBlock..2·kBlock
+// elements — enough memory-level parallelism to hide DRAM latency on a
+// cache-hostile filter.
 //
 // Verdict neutrality: index derivation depends only on the key, never on
 // filter state, so hashing ahead in blocks is verdict-for-verdict
-// identical to hashing per element — and indices_batch itself is
-// bit-identical to the scalar IndexFamily path (exact index parity).
+// identical to hashing per element, and indices_batch is bit-identical to
+// the per-key IndexFamily::indices call.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +27,7 @@ namespace ppc::core::detail {
 
 class BatchHashRing {
  public:
-  /// Keys hashed per refill — a multiple of the widest SIMD arm (8 lanes).
+  /// Keys hashed per refill.
   static constexpr std::size_t kBlock = 8;
   /// Slots in flight: one block being classified, one hashed ahead.
   static constexpr std::size_t kSlots = 2 * kBlock;

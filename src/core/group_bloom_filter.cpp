@@ -185,7 +185,7 @@ void GroupBloomFilter::offer_batch(std::span<const ClickId> ids,
 
 void GroupBloomFilter::offer_batch_count(std::span<const ClickId> ids,
                                          std::span<bool> out) {
-  // Software pipeline: the ring block-hashes ids through the vectorized
+  // Software pipeline: the ring block-hashes ids through the
   // IndexFamily::indices_batch path and keeps one hashed-and-prefetched
   // block ahead of classification, so a DRAM-resident filter has a block's
   // worth of probe lines in flight instead of stalling on each element's k

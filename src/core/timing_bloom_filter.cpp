@@ -87,6 +87,14 @@ TimingBloomFilter::TimingBloomFilter(WindowSpec window, Options opts)
   if (opts.entries == 0) {
     throw std::invalid_argument("TimingBloomFilter: entries must be positive");
   }
+  if (opts.strategy == hashing::IndexStrategy::kCacheLineBlocked) {
+    // Every key stamps k of its block's 8 entries (all 8 at k = 8), so any
+    // later key hashing into a freshly stamped block reads as an in-window
+    // duplicate: the FPR runs far past the Theorem 2 analysis.
+    throw std::invalid_argument(
+        "TimingBloomFilter: kCacheLineBlocked confines a key's k timestamps "
+        "to one 8-entry block, so keys sharing a block read as duplicates");
+  }
   const Geometry g = resolve_geometry(window_, opts.c);
   window_ticks_ = g.window_ticks;
   granularity_ = g.granularity;
@@ -250,7 +258,7 @@ void TimingBloomFilter::offer_batch(std::span<const ClickId> ids,
 
 void TimingBloomFilter::offer_batch_count(std::span<const ClickId> ids,
                                           std::span<bool> out) {
-  // Software pipeline: the ring block-hashes ids through the vectorized
+  // Software pipeline: the ring block-hashes ids through the
   // IndexFamily::indices_batch path (same ring as GroupBloomFilter) and
   // keeps one hashed-and-prefetched block ahead of classification, so the
   // table has a block's worth of timestamp entries in flight instead of

@@ -48,6 +48,8 @@ class TimingBloomFilter final : public DuplicateDetector {
     /// default C = window_ticks - 1 (clamped to ≥ 1). Larger C trades
     /// entry bits for a cheaper per-element cleaning scan.
     std::uint64_t c = 0;
+    /// Any strategy except kCacheLineBlocked (refused: see the
+    /// constructor).
     hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };

@@ -4,8 +4,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "hashing/simd_fmix.hpp"
-
 namespace ppc::hashing {
 
 IndexFamily::IndexFamily(std::size_t k, std::uint64_t range,
@@ -35,28 +33,6 @@ IndexFamily::IndexFamily(std::size_t k, std::uint64_t range,
     // down so range() reports the bits the filter can actually use (the
     // header documents this contract).
     range_ = range / 8 * 8;
-  }
-}
-
-void IndexFamily::indices_batch(std::span<const std::uint64_t> keys,
-                                std::span<std::uint64_t> out) const noexcept {
-  assert(out.size() >= keys.size() * k_);
-  switch (strategy_) {
-    case IndexStrategy::kDoubleHashing:
-      simd::derive_double_hashing(keys.data(), keys.size(), seed_, k_, range_,
-                                  out.data());
-      return;
-    case IndexStrategy::kCacheLineBlocked:
-      simd::derive_blocked(keys.data(), keys.size(), seed_, k_, range_,
-                           out.data());
-      return;
-    case IndexStrategy::kIndependentHashes:
-    case IndexStrategy::kTabulation:
-      // Validation strategies: no hot-path batch callers, scalar loop.
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        indices(keys[i], out.subspan(i * k_, k_));
-      }
-      return;
   }
 }
 

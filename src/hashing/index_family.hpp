@@ -106,15 +106,19 @@ class IndexFamily {
   /// Convenience allocation-friendly variant used by tests.
   std::vector<std::uint64_t> indices(Bytes key) const;
 
-  /// Multi-key fast path for contiguous 64-bit identifiers: writes the k
+  /// Multi-key path for contiguous 64-bit identifiers: writes the k
   /// indices of every key into `out`, key-major (`out[i*k + j]` is key i's
-  /// j-th index; out.size() ≥ keys.size()·k). Bit-identical to calling the
-  /// u64 `indices` overload per key — the double-hashing and blocked
-  /// strategies dispatch to the SIMD fmix64 kernels (4–8 keys per vector,
-  /// see hashing/simd_fmix.hpp), whose every arm preserves exact index
-  /// parity; the validation strategies take the scalar loop.
+  /// j-th index; out.size() ≥ keys.size()·k). A plain loop over the u64
+  /// `indices` overload, so it is bit-identical to per-key calls by
+  /// construction. Inline so the batched ingestion pipelines (compiled at
+  /// -O3) can hoist the strategy switch out of the loop.
   void indices_batch(std::span<const std::uint64_t> keys,
-                     std::span<std::uint64_t> out) const noexcept;
+                     std::span<std::uint64_t> out) const noexcept {
+    assert(out.size() >= keys.size() * k_);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      indices(keys[i], out.subspan(i * k_, k_));
+    }
+  }
 
  private:
   /// Lemire fast range reduction: maps a uniform 64-bit value onto

@@ -462,43 +462,16 @@ void IngestServer::stop() noexcept {
 void IngestServer::offer_to_sink(std::span<const std::uint32_t> ad_ids,
                                  std::span<const core::ClickId> ids,
                                  std::span<const std::uint64_t> times,
-                                 std::span<bool> out) {
-  if (serialize_offers_) {
-    const std::lock_guard<std::mutex> g(sink_mu_);
-    if (opts_.replication != nullptr) {
-      // Ring entries are capped at kMaxClicksPerBatch, so offer in the
-      // same chunks that get appended: followers replay one ring entry
-      // per sink call, and offer boundaries are semantic for batch-scoped
-      // sinks (EnforcingSink decides a whole batch before observing it).
-      const std::size_t n = ids.size();
-      for (std::size_t off = 0; off < n; off += wire::kMaxClicksPerBatch) {
-        const std::size_t m =
-            std::min<std::size_t>(n - off, wire::kMaxClicksPerBatch);
-        sink_.offer(ad_ids.subspan(off, m), ids.subspan(off, m),
-                    times.subspan(off, m), out.subspan(off, m));
-        opts_.replication->append(ad_ids.subspan(off, m),
-                                  ids.subspan(off, m),
-                                  times.subspan(off, m), {});
-      }
-    } else {
-      sink_.offer(ad_ids, ids, times, out);
-    }
-  } else {
-    sink_.offer(ad_ids, ids, times, out);
-  }
-}
-
-void IngestServer::offer_to_sink(std::span<const std::uint32_t> ad_ids,
-                                 std::span<const core::ClickId> ids,
-                                 std::span<const std::uint64_t> times,
                                  std::span<const std::uint32_t> sources,
                                  std::span<bool> out) {
   if (serialize_offers_) {
     const std::lock_guard<std::mutex> g(sink_mu_);
     // Appending under the same mutex hold makes ring order identical to
-    // sink order — the invariant the followers' bit-identity rests on —
-    // and chunking at the ring-entry cap makes replayed offer BOUNDARIES
-    // identical too (see the v1 overload above).
+    // sink order — the invariant the followers' bit-identity rests on.
+    // Ring entries are capped at kMaxClicksPerBatch, so offer in the same
+    // chunks that get appended: followers replay one ring entry per sink
+    // call, and offer boundaries are semantic for batch-scoped sinks
+    // (EnforcingSink decides a whole batch before observing it).
     if (opts_.replication != nullptr) {
       const std::size_t n = ids.size();
       for (std::size_t off = 0; off < n; off += wire::kMaxClicksPerBatch) {

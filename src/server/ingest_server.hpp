@@ -345,10 +345,6 @@ class IngestServer final {
   void offer_to_sink(std::span<const std::uint32_t> ad_ids,
                      std::span<const core::ClickId> ids,
                      std::span<const std::uint64_t> times,
-                     std::span<bool> out);
-  void offer_to_sink(std::span<const std::uint32_t> ad_ids,
-                     std::span<const core::ClickId> ids,
-                     std::span<const std::uint64_t> times,
                      std::span<const std::uint32_t> sources,
                      std::span<bool> out);
 

@@ -9,10 +9,13 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adnet/tiered_detector_pool.hpp"
@@ -20,6 +23,7 @@
 #include "core/duplicate_detector.hpp"
 #include "core/sharded_detector.hpp"
 #include "core/window.hpp"
+#include "enforce/reputation_ledger.hpp"
 
 namespace ppc::server {
 
@@ -41,6 +45,81 @@ struct DetectorConfig {
   core::ShardedDetector::EngineMode engine =
       core::ShardedDetector::EngineMode::kMutex;
 };
+
+/// Strict unsigned decimal for flag values: digits only, in range. Unlike
+/// bare std::stoull it refuses "-1" (which stoull wraps to 2^64 - 1),
+/// trailing characters ("16x") and an empty value. Throws
+/// std::invalid_argument "invalid value for <what>: '<text>'".
+inline std::uint64_t parse_u64(std::string_view text, std::string_view what) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("invalid value for " + std::string(what) +
+                                ": '" + std::string(text) + "'");
+  }
+  return v;
+}
+
+/// Strict non-negative finite decimal (fixed or exponent form) with the
+/// same refusals as parse_u64.
+inline double parse_double(std::string_view text, std::string_view what) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || text.front() == '-' || ec != std::errc() ||
+      ptr != end || !std::isfinite(v)) {
+    throw std::invalid_argument("invalid value for " + std::string(what) +
+                                ": '" + std::string(text) + "'");
+  }
+  return v;
+}
+
+/// Parses the enforcement-spec grammar shared by ppcd --enforce and
+/// ppc_loadgen --verify-enforce, so one spec string drives both the daemon
+/// and the load generator's oracle: "k=v,k=v" → EnforcementPolicy, and
+/// "on"/"1" keeps every default. `flag` (e.g. "--enforce") prefixes every
+/// error. Throws std::invalid_argument on an item without '=', an unknown
+/// key or a malformed value; the ledger constructor rejects inconsistent
+/// threshold combinations.
+inline enforce::EnforcementPolicy parse_enforce_spec(const std::string& spec,
+                                                     const std::string& flag) {
+  enforce::EnforcementPolicy p;
+  if (spec == "on" || spec == "1") return p;
+  std::size_t pos = 0;
+  while (pos < spec.size()) {
+    const std::size_t comma = spec.find(',', pos);
+    const std::string item =
+        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    pos = comma == std::string::npos ? spec.size() : comma + 1;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos) {
+      throw std::invalid_argument(flag + ": expected k=v, got '" + item + "'");
+    }
+    const std::string key = item.substr(0, eq);
+    const std::string value = item.substr(eq + 1);
+    const std::string what = flag + " " + key;
+    const auto u64 = [&] { return parse_u64(value, what); };
+    const auto real = [&] { return parse_double(value, what); };
+    if (key == "flag-rate") p.flag_rate = real();
+    else if (key == "discount-rate") p.discount_rate = real();
+    else if (key == "block-rate") p.block_rate = real();
+    else if (key == "flag-min") p.flag_min_duplicates = u64();
+    else if (key == "discount-min") p.discount_min_duplicates = u64();
+    else if (key == "block-min") p.block_min_duplicates = u64();
+    else if (key == "blatant-rate") p.blatant_rate = real();
+    else if (key == "blatant-min") p.blatant_min_duplicates = u64();
+    else if (key == "demote-ratio") p.demote_ratio = real();
+    else if (key == "half-life-us") p.score_half_life_us = u64();
+    else if (key == "ttl-us") p.block_ttl_us = u64();
+    else if (key == "rate-alpha") p.rate_alpha = real();
+    else if (key == "min-clicks") p.min_clicks = u64();
+    else if (key == "max-sources") p.max_sources = u64();
+    else if (key == "by-publisher") p.key_by_publisher = value == "1" || value == "true";
+    else throw std::invalid_argument(flag + ": unknown key '" + key + "'");
+  }
+  return p;
+}
 
 /// Parses the --backend flag grammar shared by ppcd and ppc_loadgen.
 inline core::DetectorBackend parse_backend_spec(const std::string& text) {
@@ -64,7 +143,9 @@ inline core::WindowSpec parse_window_spec(const std::string& text) {
     if (colon == std::string::npos) break;
     start = colon + 1;
   }
-  auto num = [&](std::size_t i) { return std::stoull(parts.at(i)); };
+  auto num = [&](std::size_t i) {
+    return parse_u64(parts.at(i), "window spec " + text);
+  };
   if (parts[0] == "sliding" && parts.size() == 2) {
     return core::WindowSpec::sliding_count(num(1));
   }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/validity_oracle.hpp"
 #include "baseline/exact_detectors.hpp"
 #include "baseline/landmark_detector.hpp"
 #include "baseline/metwally_jumping_detector.hpp"
@@ -24,6 +25,8 @@
 #include "core/group_bloom_filter.hpp"
 #include "core/sharded_detector.hpp"
 #include "core/timing_bloom_filter.hpp"
+#include "stream/rng.hpp"
+#include "stream/zipf.hpp"
 
 namespace ppc {
 namespace {
@@ -354,6 +357,57 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Theorem 1/2 end-to-end through the batch path: a heavy-tailed Zipf
+// stream (the realistic click-fraud workload) batched through offer_batch
+// must produce ZERO false negatives against the validity oracle.
+TEST(ZeroFalseNegatives, GbfAndTbfOnZipfThroughBatchPath) {
+  stream::Rng rng(314159);
+  const stream::ZipfSampler zipf(4096, 1.1);
+  std::vector<std::uint64_t> ids(30000);
+  for (auto& id : ids) id = 0xC11C'0000'0000ULL + zipf.sample(rng);
+
+  {
+    core::GroupBloomFilter gbf(core::WindowSpec::jumping_count(2048, 8),
+                               {.bits_per_subfilter = 1 << 15,
+                                .hash_count = 6});
+    analysis::JumpingOracle oracle(2048, 8);
+    std::vector<bool> out(ids.size());
+    constexpr std::size_t kBatch = 256;
+    bool buf[kBatch];
+    for (std::size_t off = 0; off < ids.size(); off += kBatch) {
+      const std::size_t n = std::min(kBatch, ids.size() - off);
+      gbf.offer_batch(std::span<const core::ClickId>(ids.data() + off, n),
+                      std::span<bool>(buf, n));
+      for (std::size_t j = 0; j < n; ++j) {
+        const bool duplicate = buf[j];
+        if (oracle.contains_valid(ids[off + j])) {
+          ASSERT_TRUE(duplicate) << "GBF false negative at " << off + j;
+        }
+        oracle.record(ids[off + j], !duplicate, 0);
+      }
+    }
+  }
+  {
+    core::TimingBloomFilter tbf(core::WindowSpec::sliding_count(2048),
+                                {.entries = 1 << 15, .hash_count = 6});
+    analysis::SlidingOracle oracle(2048);
+    constexpr std::size_t kBatch = 256;
+    bool buf[kBatch];
+    for (std::size_t off = 0; off < ids.size(); off += kBatch) {
+      const std::size_t n = std::min(kBatch, ids.size() - off);
+      tbf.offer_batch(std::span<const core::ClickId>(ids.data() + off, n),
+                      std::span<bool>(buf, n));
+      for (std::size_t j = 0; j < n; ++j) {
+        const bool duplicate = buf[j];
+        if (oracle.contains_valid(ids[off + j])) {
+          ASSERT_TRUE(duplicate) << "TBF false negative at " << off + j;
+        }
+        oracle.record(ids[off + j], !duplicate, 0);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ppc

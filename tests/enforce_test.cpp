@@ -13,6 +13,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -25,6 +26,7 @@
 #include "server/client.hpp"
 #include "server/enforcing_sink.hpp"
 #include "server/ingest_server.hpp"
+#include "server/server_config.hpp"
 #include "stream/click.hpp"
 #include "stream/generators.hpp"
 
@@ -80,6 +82,81 @@ TEST(EnforcementPolicy, RejectsInconsistentThresholds) {
   p = {};
   p.max_sources = 0;
   EXPECT_THROW(ReputationLedger{p}, std::invalid_argument);
+}
+
+// ------------------------------------------------ enforcement spec grammar
+
+/// Runs parse_enforce_spec and returns the error text ("" if it parsed).
+std::string spec_error(const std::string& spec) {
+  try {
+    server::parse_enforce_spec(spec, "--enforce");
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EnforceSpec, OnAndOneKeepEveryDefault) {
+  const EnforcementPolicy defaults;
+  for (const char* spec : {"on", "1"}) {
+    const EnforcementPolicy p = server::parse_enforce_spec(spec, "--enforce");
+    EXPECT_EQ(p.flag_rate, defaults.flag_rate) << spec;
+    EXPECT_EQ(p.flag_min_duplicates, defaults.flag_min_duplicates) << spec;
+    EXPECT_EQ(p.score_half_life_us, defaults.score_half_life_us) << spec;
+    EXPECT_EQ(p.max_sources, defaults.max_sources) << spec;
+    EXPECT_EQ(p.key_by_publisher, defaults.key_by_publisher) << spec;
+  }
+}
+
+TEST(EnforceSpec, ParsesOneKeyOfEachTypeAndLeavesTheRest) {
+  const EnforcementPolicy defaults;
+  const EnforcementPolicy p = server::parse_enforce_spec(
+      "rate-alpha=0.125,flag-min=4,by-publisher=true", "--enforce");
+  EXPECT_EQ(p.rate_alpha, 0.125);        // real
+  EXPECT_EQ(p.flag_min_duplicates, 4u);  // unsigned
+  EXPECT_TRUE(p.key_by_publisher);       // boolean
+  EXPECT_EQ(p.flag_rate, defaults.flag_rate);
+  EXPECT_EQ(p.block_min_duplicates, defaults.block_min_duplicates);
+  EXPECT_EQ(server::parse_enforce_spec("rate-alpha=1e-2", "--enforce")
+                .rate_alpha,
+            0.01);
+}
+
+TEST(EnforceSpec, RefusalsNameTheFlagAndTheOffendingText) {
+  EXPECT_EQ(spec_error("flag-min=4,colour=red"),
+            "--enforce: unknown key 'colour'");
+  EXPECT_EQ(spec_error("flag-min=4,discount-min"),
+            "--enforce: expected k=v, got 'discount-min'");
+  try {
+    server::parse_enforce_spec("colour=red", "--verify-enforce");
+    FAIL() << "unknown key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--verify-enforce: unknown key 'colour'");
+  }
+}
+
+TEST(EnforceSpec, NumericValuesAreStrict) {
+  // Bare stoull/stod took "-1" as 2^64 - 1, "16x" as 16 and "0.5abc" as
+  // 0.5; every one of these must now be refused.
+  EXPECT_EQ(spec_error("flag-min=-1"),
+            "invalid value for --enforce flag-min: '-1'");
+  EXPECT_EQ(spec_error("block-min=16x"),
+            "invalid value for --enforce block-min: '16x'");
+  EXPECT_EQ(spec_error("flag-rate=0.5abc"),
+            "invalid value for --enforce flag-rate: '0.5abc'");
+  EXPECT_EQ(spec_error("flag-rate=-0.5"),
+            "invalid value for --enforce flag-rate: '-0.5'");
+  EXPECT_EQ(spec_error("ttl-us="), "invalid value for --enforce ttl-us: ''");
+  EXPECT_EQ(spec_error("rate-alpha=nan"),
+            "invalid value for --enforce rate-alpha: 'nan'");
+  EXPECT_EQ(spec_error("max-sources=99999999999999999999"),
+            "invalid value for --enforce max-sources: "
+            "'99999999999999999999'");
+  EXPECT_EQ(server::parse_u64("18446744073709551615", "--x"),
+            ~std::uint64_t{0});
+  EXPECT_THROW(server::parse_u64(" 1", "--x"), std::invalid_argument);
+  EXPECT_THROW(server::parse_u64("+1", "--x"), std::invalid_argument);
+  EXPECT_EQ(server::parse_double("0", "--x"), 0.0);
 }
 
 // --------------------------------------------------- tier state machine

@@ -13,6 +13,7 @@
 #include "hashing/murmur3.hpp"
 #include "hashing/tabulation.hpp"
 #include "hashing/xxhash.hpp"
+#include "stream/rng.hpp"
 
 namespace ppc::hashing {
 namespace {
@@ -186,6 +187,48 @@ TEST_P(IndexFamilyStrategyTest, DifferentSeedsDecorrelate) {
   EXPECT_LT(matches, 10);  // 6000 comparisons, ~0.006 expected by chance
 }
 
+// indices_batch against per-key indices for every strategy, k, range and
+// seed: the exact index parity that keeps the FPR theory, the sizing
+// planner and checked-in snapshots valid for the batched pipelines.
+TEST(IndexFamily, BatchMatchesPerKeyForEveryStrategyKRangeSeed) {
+  stream::Rng rng(77);
+  const IndexStrategy strategies[] = {
+      IndexStrategy::kDoubleHashing, IndexStrategy::kCacheLineBlocked,
+      IndexStrategy::kIndependentHashes, IndexStrategy::kTabulation};
+  for (const IndexStrategy strategy : strategies) {
+    for (int trial = 0; trial < 12; ++trial) {
+      // Blocked probing caps k at 8; sweep wider for the others. Ranges mix
+      // powers of two, odd values and non-multiples of 8.
+      const bool blocked = strategy == IndexStrategy::kCacheLineBlocked;
+      const std::size_t k = 1 + rng.below(blocked ? 8 : 13);
+      // Every third trial uses a > 2^32 range so the wide-multiply arm of
+      // the Lemire reduction is pinned too, not just the narrow fast path.
+      const std::uint64_t range =
+          trial % 3 == 0 ? (std::uint64_t{1} << 33) + rng.below(1u << 20)
+                         : 8 + rng.below(1u << 20);
+      const std::uint64_t seed = rng.next();
+      const IndexFamily family(k, range, strategy, seed);
+
+      const std::size_t n = 1 + rng.below(40);
+      std::vector<std::uint64_t> keys(n);
+      for (auto& key : keys) key = rng.next();
+
+      std::vector<std::uint64_t> expected(n * k);
+      for (std::size_t i = 0; i < n; ++i) {
+        family.indices(keys[i],
+                       std::span<std::uint64_t>(expected.data() + i * k, k));
+      }
+      std::vector<std::uint64_t> got(n * k, ~std::uint64_t{0});
+      family.indices_batch(keys, got);
+      for (std::size_t i = 0; i < n * k; ++i) {
+        ASSERT_EQ(got[i], expected[i])
+            << "strategy " << static_cast<int>(strategy) << " k " << k
+            << " range " << range << " element " << i;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexFamilyStrategyTest,
                          ::testing::Values(IndexStrategy::kDoubleHashing,
                                            IndexStrategy::kIndependentHashes,
@@ -228,6 +271,40 @@ TEST(CacheLineBlocked, ByteAndU64KeysBothStayInRange) {
     for (std::uint64_t v : idx) EXPECT_LT(v, kRange / 8 * 8);
     const auto via_bytes = family.indices(as_bytes(key));
     for (std::uint64_t v : via_bytes) EXPECT_LT(v, kRange / 8 * 8);
+  }
+}
+
+TEST(BlockedRounding, NonMultipleOf8RangesRoundDownAndStayUniform) {
+  stream::Rng rng(99);
+  // Sweep every range residue mod 8 plus a larger irregular range: the
+  // constructor must round down, every produced index must stay inside the
+  // rounded range, and every 8-index block must be reachable (stranding
+  // the trailing range%8 indices would skew what the FPR formulas call m).
+  const std::uint64_t ranges[] = {9,  10, 11, 12, 13, 14,  15,  16,
+                                  17, 23, 33, 77, 97, 250, 1003};
+  for (const std::uint64_t raw : ranges) {
+    const IndexFamily family(5, raw, IndexStrategy::kCacheLineBlocked, 11);
+    const std::uint64_t rounded = raw / 8 * 8;
+    ASSERT_EQ(family.range(), rounded) << "raw range " << raw;
+
+    const std::uint64_t blocks = rounded / 8;
+    std::vector<std::uint32_t> block_hits(blocks, 0);
+    std::uint64_t idx[8];
+    const std::size_t samples = 512 * blocks;
+    for (std::size_t i = 0; i < samples; ++i) {
+      family.indices(rng.next(), std::span<std::uint64_t>(idx, 5));
+      for (std::size_t j = 0; j < 5; ++j) {
+        ASSERT_LT(idx[j], rounded) << "raw range " << raw;
+        ++block_hits[idx[j] / 8];
+      }
+    }
+    // Uniformity: with 512·k expected hits per block, an untouched (or
+    // wildly hot) block means the reduction is biased or unreachable.
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      ASSERT_GT(block_hits[b], 0u) << "unreached block " << b << " of "
+                                   << blocks << " (raw range " << raw << ")";
+      ASSERT_LT(block_hits[b], 8 * 512 * 5) << "hot block " << b;
+    }
   }
 }
 

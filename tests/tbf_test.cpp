@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "baseline/exact_detectors.hpp"
 #include "core/detector_factory.hpp"
@@ -34,6 +36,19 @@ TEST(Tbf, RejectsZeroEntries) {
   EXPECT_THROW(
       TimingBloomFilter(WindowSpec::sliding_count(10), small_opts(0)),
       std::invalid_argument);
+}
+
+TEST(Tbf, RejectsCacheLineBlockedProbing) {
+  auto blocked = small_opts(1u << 16, 8);
+  blocked.strategy = hashing::IndexStrategy::kCacheLineBlocked;
+  try {
+    TimingBloomFilter tbf(WindowSpec::sliding_count(100), blocked);
+    FAIL() << "blocked TBF was constructed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kCacheLineBlocked"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Tbf, ImmediateDuplicateIsFlagged) {

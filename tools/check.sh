@@ -4,25 +4,23 @@
 #   1. regular build + full ctest suite (the ROADMAP tier-1 command);
 #   2. CLI validation: ppcd must reject --loops=0 and --loops beyond the
 #      hardware threads (without --oversubscribe-loops) with clear errors,
-#      and ppcd / ppc_loadgen must refuse any flag they do not read
-#      (a retired flag like --engine=on, or a misspelling) with exit 2;
+#      ppcd / ppc_loadgen must refuse any flag they do not read
+#      (a retired flag like --engine=on, or a misspelling) with exit 2,
+#      and must refuse a malformed numeric value (--memory-mib=16x,
+#      --shards=-1, --clicks=-1) with exit 2 while parsing flags;
 #   3. the zero-false-negative gate: bench/multitenant_pool at its default
 #      scale (~2 s) exits 1 if the tiered pool misses any in-window
-#      duplicate across promotions and demotions (also run in step 4);
-#      then the frozen wire benchmark's own tests (python3
-#      perfbench/test_perfbench.py): it builds ppcd and its harness from
-#      this checkout, so a src/ change that breaks the harness build or
-#      its correctness gates (replay bit-identity, zero false negatives,
-#      follower snapshot byte-identity) fails here;
-#   4. the same suite built with -DPPC_DISABLE_SIMD=ON — the scalar-only
-#      escape hatch must stay green AND produce identical verdicts (the
-#      parity/equivalence tests run in both builds, so a divergence between
-#      the SIMD and scalar index kernels fails here);
-#   5. AddressSanitizer and UndefinedBehaviorSanitizer builds
+#      duplicate across promotions and demotions; then the frozen wire
+#      benchmark's own tests (python3 perfbench/test_perfbench.py): it
+#      builds ppcd and its harness from this checkout, so a src/ change
+#      that breaks the harness build or its correctness gates (replay
+#      bit-identity, zero false negatives, follower snapshot
+#      byte-identity) fails here;
+#   4. AddressSanitizer and UndefinedBehaviorSanitizer builds
 #      (PPC_SANITIZE=address / undefined) of the full ctest suite, both
 #      with halt_on_error=1 — the memory-safety gate for the wire decoder,
 #      the snapshot readers, and every fuzz test;
-#   6. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
+#   5. a ThreadSanitizer build (PPC_SANITIZE=thread) of the concurrency
 #      tests — sharded_test, runtime_test, parallel_batch_test,
 #      batch_times_test (per-shard mutexes and ThreadPool fan-out), the
 #      network ingest pair wire_fuzz_test / server_e2e_test (event loop
@@ -57,7 +55,7 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   cmake --build build -j "$JOBS"
   (cd build && ctest --output-on-failure -j "$JOBS")
 
-  echo "== cli gate: ppcd rejects bad --loops values and unknown flags =="
+  echo "== cli gate: bad --loops values, unknown flags, malformed numbers =="
   # `|| true` inside $(...): ppcd exiting nonzero is the EXPECTED outcome
   # here and must not trip set -e / pipefail — the assertions below are on
   # the exit status (checked via if) and the error text.
@@ -89,20 +87,27 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
       echo "FAIL: '$cmd' exited $RC without naming --$BAD: $OUT"; exit 1
     fi
   done
+  # Malformed numbers: a negative, partly numeric value is refused while
+  # parsing flags (exit 2, flag named), not wrapped or truncated by stoull.
+  # `timeout` turns a regression (ppcd serving on a truncated value) into
+  # a failure instead of a hang.
+  for cmd in "./build/tools/ppcd --listen=127.0.0.1:0 --memory-mib=16x" \
+             "./build/tools/ppcd --listen=127.0.0.1:0 --shards=-1" \
+             "./build/tools/ppc_loadgen --connect=127.0.0.1:1 --clicks=-1"; do
+    RC=0
+    OUT=$(timeout 20 $cmd 2>&1) || RC=$?
+    BAD=${cmd##* --}
+    BAD=${BAD%%=*}
+    if [[ "$RC" != 2 ]] || ! echo "$OUT" | grep -q "invalid value for --$BAD"; then
+      echo "FAIL: '$cmd' exited $RC without refusing --$BAD: $OUT"; exit 1
+    fi
+  done
 
   echo "== zero-FN gate: multitenant_pool =="
   ./build/bench/multitenant_pool
 
   echo "== benchmark gate: perfbench's own tests =="
   python3 perfbench/test_perfbench.py
-
-  echo "== tier-1 (scalar): -DPPC_DISABLE_SIMD=ON build + ctest =="
-  cmake -B build-nosimd -S . -DPPC_DISABLE_SIMD=ON \
-    -DPPC_BUILD_BENCH=ON -DPPC_BUILD_EXAMPLES=OFF
-  cmake --build build-nosimd -j "$JOBS"
-  (cd build-nosimd && ctest --output-on-failure -j "$JOBS")
-  echo "-- multitenant_pool (scalar)"
-  ./build-nosimd/bench/multitenant_pool
 
   for san in address undefined; do
     echo "== sanitizer gate: PPC_SANITIZE=$san build + ctest =="

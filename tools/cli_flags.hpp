@@ -2,7 +2,9 @@
 // is --key=value or a bare --key (value "1"). Each tool declares the keys
 // it reads; anything else is refused with a named error and exit status 2,
 // so a misspelled or retired flag can never silently fall back to a
-// default.
+// default. Numeric values are parsed strictly (server::parse_u64 /
+// parse_double): a negative, partly numeric or empty value is refused with
+// "invalid value for --<key>" and exit status 2.
 #pragma once
 
 #include <cstdint>
@@ -10,12 +12,18 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "server/server_config.hpp"
 
 namespace ppc::cli {
 
 using Flags = std::map<std::string, std::string>;
+
+/// argv[0] of the running tool, recorded by parse_flags for error text.
+inline const char* g_program = "";
 
 /// Parses argv into a key → value map. `--help`, `-h`, or a non-flag
 /// argument call `usage` (which must not return); a key outside `known`
@@ -23,6 +31,7 @@ using Flags = std::map<std::string, std::string>;
 inline Flags parse_flags(int argc, char** argv,
                          std::initializer_list<std::string_view> known,
                          void (*usage)(const char* argv0)) {
+  g_program = argv[0];
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -49,16 +58,30 @@ inline std::string flag(const Flags& flags, const std::string& key,
   return it == flags.end() ? fallback : it->second;
 }
 
+/// Looks up `key` and parses it with `parse` (a strict server:: parser);
+/// a malformed value prints "<argv0>: invalid value for --<key>: '<v>'"
+/// and exits 2.
+template <typename T, typename Parse>
+T parse_flag(const Flags& flags, const std::string& key, T fallback,
+             Parse parse) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  try {
+    return parse(it->second, "--" + key);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s (see --help)\n", g_program, e.what());
+    std::exit(2);
+  }
+}
+
 inline std::uint64_t flag_u64(const Flags& flags, const std::string& key,
                               std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
+  return parse_flag(flags, key, fallback, server::parse_u64);
 }
 
 inline double flag_double(const Flags& flags, const std::string& key,
                           double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
+  return parse_flag(flags, key, fallback, server::parse_double);
 }
 
 }  // namespace ppc::cli

@@ -95,45 +95,6 @@ namespace {
   std::exit(2);
 }
 
-/// "k=v,k=v" → EnforcementPolicy — the SAME grammar ppcd's --enforce flag
-/// speaks, so one spec string drives both the daemon and this oracle.
-/// "on"/"1" keeps every default.
-enforce::EnforcementPolicy parse_enforce_spec(const std::string& spec) {
-  enforce::EnforcementPolicy p;
-  if (spec == "on" || spec == "1") return p;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? spec.size() : comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("--verify-enforce: expected k=v, got '" +
-                                  item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "flag-rate") p.flag_rate = std::stod(value);
-    else if (key == "discount-rate") p.discount_rate = std::stod(value);
-    else if (key == "block-rate") p.block_rate = std::stod(value);
-    else if (key == "flag-min") p.flag_min_duplicates = std::stoull(value);
-    else if (key == "discount-min") p.discount_min_duplicates = std::stoull(value);
-    else if (key == "block-min") p.block_min_duplicates = std::stoull(value);
-    else if (key == "blatant-rate") p.blatant_rate = std::stod(value);
-    else if (key == "blatant-min") p.blatant_min_duplicates = std::stoull(value);
-    else if (key == "demote-ratio") p.demote_ratio = std::stod(value);
-    else if (key == "half-life-us") p.score_half_life_us = std::stoull(value);
-    else if (key == "ttl-us") p.block_ttl_us = std::stoull(value);
-    else if (key == "rate-alpha") p.rate_alpha = std::stod(value);
-    else if (key == "min-clicks") p.min_clicks = std::stoull(value);
-    else if (key == "max-sources") p.max_sources = std::stoull(value);
-    else if (key == "by-publisher") p.key_by_publisher = value == "1" || value == "true";
-    else throw std::invalid_argument("--verify-enforce: unknown key '" + key + "'");
-  }
-  return p;
-}
-
 /// The deterministic click stream for one connection: Zipf users clicking
 /// the connection's own ad. Both the wire path and the oracle replay call
 /// this, so they see byte-identical (id, t_us) sequences.
@@ -314,6 +275,10 @@ int main(int argc, char** argv) {
     const std::string enforce_spec = flag(flags, "verify-enforce", "");
     const std::size_t inflight = std::max<std::uint64_t>(
         1, flag_u64(flags, "inflight", enforce_spec.empty() ? 4 : 1));
+    const enforce::EnforcementPolicy policy =
+        enforce_spec.empty()
+            ? enforce::EnforcementPolicy{}
+            : server::parse_enforce_spec(enforce_spec, "--verify-enforce");
     const std::uint64_t seed = flag_u64(flags, "seed", 1);
     const bool verify = flag(flags, "verify", "on") == "on";
     const bool v2 = flag(flags, "v2", "off") == "on" || !enforce_spec.empty();
@@ -490,7 +455,7 @@ int main(int argc, char** argv) {
           // the identical click order the daemon's shared ledger saw).
           const auto detector = server::build_detector(cfg);
           server::DetectorSink base(*detector);
-          enforce::ReputationLedger ledger(parse_enforce_spec(enforce_spec));
+          enforce::ReputationLedger ledger(policy);
           server::EnforcingSink oracle_sink(base, ledger);
           const auto& stream = streams_v2[c];
           std::vector<std::uint32_t> ads(batch), sources(batch);

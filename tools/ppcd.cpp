@@ -155,45 +155,6 @@ namespace {
   std::exit(2);
 }
 
-/// "k=v,k=v" → EnforcementPolicy; "on"/"1" keeps every default. Throws
-/// std::invalid_argument on unknown keys (and the ledger constructor
-/// rejects inconsistent threshold combinations).
-enforce::EnforcementPolicy parse_enforce_spec(const std::string& spec) {
-  enforce::EnforcementPolicy p;
-  if (spec == "on" || spec == "1") return p;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? spec.size() : comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("--enforce: expected k=v, got '" + item +
-                                  "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "flag-rate") p.flag_rate = std::stod(value);
-    else if (key == "discount-rate") p.discount_rate = std::stod(value);
-    else if (key == "block-rate") p.block_rate = std::stod(value);
-    else if (key == "flag-min") p.flag_min_duplicates = std::stoull(value);
-    else if (key == "discount-min") p.discount_min_duplicates = std::stoull(value);
-    else if (key == "block-min") p.block_min_duplicates = std::stoull(value);
-    else if (key == "blatant-rate") p.blatant_rate = std::stod(value);
-    else if (key == "blatant-min") p.blatant_min_duplicates = std::stoull(value);
-    else if (key == "demote-ratio") p.demote_ratio = std::stod(value);
-    else if (key == "half-life-us") p.score_half_life_us = std::stoull(value);
-    else if (key == "ttl-us") p.block_ttl_us = std::stoull(value);
-    else if (key == "rate-alpha") p.rate_alpha = std::stod(value);
-    else if (key == "min-clicks") p.min_clicks = std::stoull(value);
-    else if (key == "max-sources") p.max_sources = std::stoull(value);
-    else if (key == "by-publisher") p.key_by_publisher = value == "1" || value == "true";
-    else throw std::invalid_argument("--enforce: unknown key '" + key + "'");
-  }
-  return p;
-}
-
 server::IngestServer* g_server = nullptr;
 
 void handle_signal(int /*signum*/) {
@@ -246,6 +207,9 @@ int main(int argc, char** argv) {
     opts.loop.sndbuf_bytes =
         static_cast<int>(flag_u64(flags, "sndbuf", 0));
     opts.loops = flag_u64(flags, "loops", 1);
+    const std::uint64_t stats_interval = flag_u64(flags, "stats-interval", 0);
+    const std::uint64_t ring_batches = flag_u64(flags, "repl-ring-batches", 4096);
+    const std::uint64_t ring_mib = flag_u64(flags, "repl-ring-mib", 256);
     if (opts.loops == 0) {
       std::fprintf(stderr,
                    "ppcd: --loops=0 is invalid: the server needs at least "
@@ -315,7 +279,7 @@ int main(int argc, char** argv) {
     const std::string blocklist_path = flag(flags, "blocklist-export", "");
     if (!enforce_spec.empty()) {
       ledger = std::make_unique<enforce::ReputationLedger>(
-          parse_enforce_spec(enforce_spec));
+          server::parse_enforce_spec(enforce_spec, "--enforce"));
       const std::string journal_path = flag(flags, "journal", "");
       if (!journal_path.empty()) {
         journal = std::make_unique<enforce::DecisionJournal>(journal_path);
@@ -370,8 +334,8 @@ int main(int argc, char** argv) {
     std::unique_ptr<server::ReplicationLog> repl_log;
     if (!repl_listen.empty()) {
       server::ReplicationLog::Options ro;
-      ro.max_batches = flag_u64(flags, "repl-ring-batches", 4096);
-      ro.max_bytes = flag_u64(flags, "repl-ring-mib", 256) << 20;
+      ro.max_batches = ring_batches;
+      ro.max_bytes = ring_mib << 20;
       if (!restore_path.empty()) {
         // The restored baseline stands in for sequence 1 but was never
         // appended to the ring, so ring replay from 1 would silently skip
@@ -463,10 +427,8 @@ int main(int argc, char** argv) {
       std::printf("ppcd: replicating on %s:%u (ring: %llu batches / "
                   "%llu MiB)\n",
                   rhost.c_str(), rbound,
-                  static_cast<unsigned long long>(
-                      flag_u64(flags, "repl-ring-batches", 4096)),
-                  static_cast<unsigned long long>(
-                      flag_u64(flags, "repl-ring-mib", 256)));
+                  static_cast<unsigned long long>(ring_batches),
+                  static_cast<unsigned long long>(ring_mib));
       std::fflush(stdout);
     }
 
@@ -475,7 +437,6 @@ int main(int argc, char** argv) {
     // (and never races a verdict stream on an ingest connection).
     std::atomic<bool> stats_stop{false};
     std::thread stats_thread;
-    const std::uint64_t stats_interval = flag_u64(flags, "stats-interval", 0);
     if (stats_interval > 0) {
       const std::string stats_host =
           (host == "0.0.0.0" || host.empty()) ? "127.0.0.1" : host;
