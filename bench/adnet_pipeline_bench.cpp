@@ -91,6 +91,7 @@ void BM_Pool_OfferBatch(benchmark::State& state) {
   const stream::ZipfSampler zipf(512, 1.1);
   std::vector<std::uint32_t> ads(batch);
   std::vector<core::ClickId> ids(batch);
+  const std::vector<std::uint64_t> times(batch, 0);  // count windows
   std::vector<char> verdicts(batch);
   std::uint64_t next_id = 0;
   for (auto _ : state) {
@@ -100,7 +101,7 @@ void BM_Pool_OfferBatch(benchmark::State& state) {
       ids[i] = next_id++;
     }
     state.ResumeTiming();
-    pool.offer_batch(ads, ids,
+    pool.offer_batch(ads, ids, times,
                      std::span<bool>(reinterpret_cast<bool*>(verdicts.data()),
                                      batch));
     benchmark::DoNotOptimize(verdicts.data());

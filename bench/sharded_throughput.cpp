@@ -122,6 +122,8 @@ double run_offer(core::ShardedDetector& d,
 
 double run_batch(core::ShardedDetector& d,
                  const std::vector<core::ClickId>& ids) {
+  // The timed overload, the one ppcd drives; count windows ignore times.
+  const std::vector<std::uint64_t> times(kBatch, 0);
   std::vector<char> verdicts(kBatch);
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t flagged = 0;
@@ -129,6 +131,7 @@ double run_batch(core::ShardedDetector& d,
     const std::size_t n = std::min(kBatch, ids.size() - off);
     d.offer_batch(
         std::span<const core::ClickId>(ids.data() + off, n),
+        std::span<const std::uint64_t>(times.data(), n),
         std::span<bool>(reinterpret_cast<bool*>(verdicts.data()), n));
     flagged += verdicts[0] != 0 ? 1 : 0;
   }

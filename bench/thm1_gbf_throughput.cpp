@@ -94,6 +94,7 @@ void BM_GbfOfferBatch(benchmark::State& state) {
                              opts);
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint64_t> ids(batch);
+  const std::vector<std::uint64_t> times(batch, 0);  // count window
   std::vector<char> verdicts(batch);
   std::uint64_t next = 0;
   for (auto _ : state) {
@@ -102,6 +103,7 @@ void BM_GbfOfferBatch(benchmark::State& state) {
       verdicts[0] = gbf.offer(ids[0]);
     } else {
       gbf.offer_batch(std::span<const std::uint64_t>(ids),
+                      std::span<const std::uint64_t>(times),
                       std::span<bool>(reinterpret_cast<bool*>(verdicts.data()),
                                       batch));
     }

@@ -74,6 +74,7 @@ void BM_TbfOfferBatch(benchmark::State& state) {
   core::TimingBloomFilter tbf(core::WindowSpec::sliding_count(kN), opts);
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint64_t> ids(batch);
+  const std::vector<std::uint64_t> times(batch, 0);  // count window
   std::vector<char> verdicts(batch);  // bool-sized scratch
   std::uint64_t next = 0;
   for (auto _ : state) {
@@ -82,6 +83,7 @@ void BM_TbfOfferBatch(benchmark::State& state) {
       verdicts[0] = tbf.offer(ids[0]);
     } else {
       tbf.offer_batch(std::span<const std::uint64_t>(ids),
+                      std::span<const std::uint64_t>(times),
                       std::span<bool>(reinterpret_cast<bool*>(verdicts.data()),
                                       batch));
     }

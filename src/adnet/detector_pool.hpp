@@ -7,6 +7,11 @@
 // window over its OWN click stream — the semantics an advertiser actually
 // buys — at the cost of one filter per active ad, which this pool meters.
 //
+// Batches: offer_batch(ad_ids, ids, times, out) groups a batch by ad and
+// hands each ad's clicks, each with its own timestamp, to that detector's
+// timed offer_batch in one call — the one batch contract of
+// core::DuplicateDetector — so verdicts equal a click-at-a-time replay.
+//
 // Thread safety: the POOL (the ad → detector map and the memory meter) is
 // guarded by an internal shared mutex, so lookups, creations and evictions
 // may run from any thread. The per-ad DETECTORS are not individually
@@ -62,8 +67,10 @@ class DetectorPool {
 
   /// Batch route path: groups a micro-batch by ad id, drives each ad's
   /// group through its detector's pipelined offer_batch in arrival order,
-  /// and writes verdicts to `out[i]` for (`ad_ids[i]`, `ids[i]`). All spans
-  /// share one timestamp, like DuplicateDetector::offer_batch.
+  /// and writes verdicts to `out[i]` for (`ad_ids[i]`, `ids[i]`). Each
+  /// group's timestamps (`times[i]`, times.size() ≥ n) are gathered
+  /// alongside its ids, so time-based windows see exactly the verdicts of
+  /// a sequential replay.
   ///
   /// Partial-failure contract: every first-seen ad in the batch is admitted
   /// (its detector created under the memory cap) BEFORE any group is
@@ -76,59 +83,11 @@ class DetectorPool {
   /// @throws std::length_error if admitting a first-seen ad's detector
   ///         would exceed the memory cap (before any verdict is computed).
   void offer_batch(std::span<const std::uint32_t> ad_ids,
-                   std::span<const core::ClickId> ids, std::span<bool> out,
-                   std::uint64_t time_us = 0) {
-    offer_batch_impl(ad_ids, ids, nullptr, time_us, out);
-  }
-
-  /// Batch route path with PER-CLICK timestamps (times.size() ≥ n): each
-  /// ad group's timestamps are gathered alongside its ids and delivered
-  /// through the detector's timed offer_batch, so time-based windows see
-  /// exactly the verdicts of a sequential replay — unlike the scalar-time
-  /// overload, which stamps the whole batch with one time_us.
-  void offer_batch(std::span<const std::uint32_t> ad_ids,
                    std::span<const core::ClickId> ids,
                    std::span<const std::uint64_t> times, std::span<bool> out) {
-    if (times.size() < ids.size()) {
-      throw std::invalid_argument("DetectorPool::offer_batch: span mismatch");
-    }
-    offer_batch_impl(ad_ids, ids, times.data(), 0, out);
-  }
-
- private:
-  /// Reusable per-thread grouping scratch. The slot arrays form an
-  /// open-addressing hash table (linear probing, power-of-two size) whose
-  /// entries are invalidated by EPOCH STAMP instead of clearing: a slot
-  /// belongs to the current batch iff slot_epoch[s] == epoch, so starting a
-  /// new batch is one increment, not an O(table) wipe — and, unlike the
-  /// unordered_map this replaced, steady state allocates nothing.
-  struct GroupScratch {
-    std::vector<std::uint32_t> slot_group;  ///< group index at this slot
-    std::vector<std::uint32_t> slot_ad;     ///< ad id occupying this slot
-    std::vector<std::uint64_t> slot_epoch;  ///< batch stamp; stale ≠ epoch
-    std::uint64_t epoch = 0;
-    std::vector<std::uint32_t> head, tail;  ///< per group: chain ends
-    std::vector<std::uint32_t> next;        ///< per element: chain link
-    std::vector<std::uint32_t> group_ad;    ///< per group: its ad id
-    std::vector<core::DuplicateDetector*> group_det;  ///< admitted detectors
-    std::vector<core::ClickId> batch_ids;     ///< one group's gathered ids
-    std::vector<std::uint64_t> batch_times;   ///< … and timestamps
-    std::vector<std::uint32_t> batch_origin;  ///< … and batch positions
-    std::vector<char> batch_verdicts;         ///< … and verdicts
-  };
-
-  static GroupScratch& group_scratch() {
-    static thread_local GroupScratch scratch;
-    return scratch;
-  }
-
-  void offer_batch_impl(std::span<const std::uint32_t> ad_ids,
-                        std::span<const core::ClickId> ids,
-                        const std::uint64_t* times, std::uint64_t time_us,
-                        std::span<bool> out) {
     const std::size_t n = ids.size();
     if (n == 0) return;
-    if (ad_ids.size() != n || out.size() < n) {
+    if (ad_ids.size() != n || times.size() < n || out.size() < n) {
       throw std::invalid_argument("DetectorPool::offer_batch: span mismatch");
     }
 
@@ -186,29 +145,22 @@ class DetectorPool {
       gs.batch_origin.clear();
       for (std::uint32_t i = gs.head[g]; i != kNone; i = gs.next[i]) {
         gs.batch_ids.push_back(ids[i]);
-        if (times != nullptr) gs.batch_times.push_back(times[i]);
+        gs.batch_times.push_back(times[i]);
         gs.batch_origin.push_back(i);
       }
       gs.batch_verdicts.resize(gs.batch_ids.size());
       const std::span<bool> verdict_span(
           reinterpret_cast<bool*>(gs.batch_verdicts.data()),
           gs.batch_verdicts.size());
-      if (times != nullptr) {
-        gs.group_det[g]->offer_batch(
-            std::span<const core::ClickId>(gs.batch_ids),
-            std::span<const std::uint64_t>(gs.batch_times), verdict_span);
-      } else {
-        gs.group_det[g]->offer_batch(
-            std::span<const core::ClickId>(gs.batch_ids), verdict_span,
-            time_us);
-      }
+      gs.group_det[g]->offer_batch(
+          std::span<const core::ClickId>(gs.batch_ids),
+          std::span<const std::uint64_t>(gs.batch_times), verdict_span);
       for (std::size_t j = 0; j < gs.batch_origin.size(); ++j) {
         out[gs.batch_origin[j]] = gs.batch_verdicts[j] != 0;
       }
     }
   }
 
- public:
   /// The detector for `ad_id`, creating it if needed.
   core::DuplicateDetector& detector_for(std::uint32_t ad_id) {
     {
@@ -322,6 +274,32 @@ class DetectorPool {
   }
 
  private:
+  /// Reusable per-thread grouping scratch. The slot arrays form an
+  /// open-addressing hash table (linear probing, power-of-two size) whose
+  /// entries are invalidated by EPOCH STAMP instead of clearing: a slot
+  /// belongs to the current batch iff slot_epoch[s] == epoch, so starting a
+  /// new batch is one increment, not an O(table) wipe — and, unlike the
+  /// unordered_map this replaced, steady state allocates nothing.
+  struct GroupScratch {
+    std::vector<std::uint32_t> slot_group;  ///< group index at this slot
+    std::vector<std::uint32_t> slot_ad;     ///< ad id occupying this slot
+    std::vector<std::uint64_t> slot_epoch;  ///< batch stamp; stale ≠ epoch
+    std::uint64_t epoch = 0;
+    std::vector<std::uint32_t> head, tail;  ///< per group: chain ends
+    std::vector<std::uint32_t> next;        ///< per element: chain link
+    std::vector<std::uint32_t> group_ad;    ///< per group: its ad id
+    std::vector<core::DuplicateDetector*> group_det;  ///< admitted detectors
+    std::vector<core::ClickId> batch_ids;     ///< one group's gathered ids
+    std::vector<std::uint64_t> batch_times;   ///< … and timestamps
+    std::vector<std::uint32_t> batch_origin;  ///< … and batch positions
+    std::vector<char> batch_verdicts;         ///< … and verdicts
+  };
+
+  static GroupScratch& group_scratch() {
+    static thread_local GroupScratch scratch;
+    return scratch;
+  }
+
   static constexpr std::uint32_t kNone = 0xffffffffu;
   /// Sanity cap on restored ads: far above any live pool (the memory cap
   /// bites first) but small enough that a forged count fails fast.

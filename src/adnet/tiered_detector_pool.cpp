@@ -19,7 +19,7 @@ constexpr std::uint64_t kMaxSnapshotHotAds = std::uint64_t{1} << 20;
 
 /// Clicks whose composite keys go through the tail's offer_batch at once:
 /// long enough for its hash-and-prefetch pipeline to run ahead, short
-/// enough for the key, time and verdict buffers to live on the stack.
+/// enough for the key and verdict buffers to live on the stack.
 constexpr std::size_t kTailChunk = 256;
 
 }  // namespace
@@ -157,8 +157,7 @@ void TieredDetectorPool::maintain_locked() {
 
 void TieredDetectorPool::route_locked(std::span<const std::uint32_t> ad_ids,
                                       std::span<const core::ClickId> ids,
-                                      const std::uint64_t* times,
-                                      std::uint64_t time_us,
+                                      std::span<const std::uint64_t> times,
                                       std::span<bool> out) {
   // EVERY click shadows into the tail on its composite key — this is what
   // makes tier moves lossless (header comment): the tail always holds the
@@ -170,22 +169,20 @@ void TieredDetectorPool::route_locked(std::span<const std::uint32_t> ad_ids,
   // an epoch boundary may fall anywhere inside a chunk (DESIGN.md "Tier
   // moves").
   std::array<core::ClickId, kTailChunk> keys;
-  std::array<std::uint64_t, kTailChunk> chunk_times;
   std::array<bool, kTailChunk> tail_out;
   const bool count_hot = opts_.hot_window.basis == core::WindowBasis::kCount;
   for (std::size_t base = 0; base < ids.size(); base += kTailChunk) {
     const std::size_t n = std::min(kTailChunk, ids.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
       keys[j] = core::composite_click_key(ad_ids[base + j], ids[base + j]);
-      chunk_times[j] = times != nullptr ? times[base + j] : time_us;
     }
     tail_->offer_batch(std::span<const core::ClickId>(keys.data(), n),
-                       std::span<const std::uint64_t>(chunk_times.data(), n),
+                       times.subspan(base, n),
                        std::span<bool>(tail_out.data(), n));
 
     for (std::size_t j = 0; j < n; ++j) {
       const std::uint32_t ad_id = ad_ids[base + j];
-      const std::uint64_t t = chunk_times[j];
+      const std::uint64_t t = times[base + j];
       ++clicks_;
       ++epoch_clicks_seen_;
       last_time_us_ = std::max(last_time_us_, t);
@@ -228,22 +225,10 @@ bool TieredDetectorPool::offer(std::uint32_t ad_id, core::ClickId id,
   bool dup = false;
   const std::lock_guard<std::mutex> lock(mutex_);
   route_locked(std::span<const std::uint32_t>(&ad_id, 1),
-               std::span<const core::ClickId>(&id, 1), nullptr, time_us,
+               std::span<const core::ClickId>(&id, 1),
+               std::span<const std::uint64_t>(&time_us, 1),
                std::span<bool>(&dup, 1));
   return dup;
-}
-
-void TieredDetectorPool::offer_batch(std::span<const std::uint32_t> ad_ids,
-                                     std::span<const core::ClickId> ids,
-                                     std::span<bool> out,
-                                     std::uint64_t time_us) {
-  const std::size_t n = ids.size();
-  if (ad_ids.size() != n || out.size() < n) {
-    throw std::invalid_argument(
-        "TieredDetectorPool::offer_batch: span mismatch");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  route_locked(ad_ids, ids, nullptr, time_us, out);
 }
 
 void TieredDetectorPool::offer_batch(std::span<const std::uint32_t> ad_ids,
@@ -256,7 +241,7 @@ void TieredDetectorPool::offer_batch(std::span<const std::uint32_t> ad_ids,
         "TieredDetectorPool::offer_batch: span mismatch");
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  route_locked(ad_ids, ids, times.data(), 0, out);
+  route_locked(ad_ids, ids, times, out);
 }
 
 bool TieredDetectorPool::ad_is_hot(std::uint32_t ad_id) const {

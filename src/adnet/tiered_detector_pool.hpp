@@ -38,6 +38,11 @@
 // hot (no demotion between original and duplicate) additionally gets zero
 // false negatives over its own window unconditionally.
 //
+// Batches: offer_batch(ad_ids, ids, times, out) is the one routing entry
+// point and offer() is a batch of one. Every click keeps its own
+// timestamp through the tail and the hot tier, so batch verdicts, counters
+// and snapshot bytes equal a click-at-a-time replay.
+//
 // Thread safety: one internal mutex serializes everything (the shared tail
 // filter and the maintenance loop leave nothing to shard). Wrap offers
 // behind the mutex-free DetectorPool when per-ad parallel ingest matters
@@ -130,14 +135,9 @@ class TieredDetectorPool {
   /// first-seen ads share the tail detector.
   bool offer(std::uint32_t ad_id, core::ClickId id, std::uint64_t time_us = 0);
 
-  /// Batch route path, one shared timestamp (cf. DuplicateDetector).
+  /// Batch route path with per-click timestamps (times.size() ≥ n).
   /// Verdict-for-verdict identical to offering in a loop — maintenance
   /// epochs land on the same click boundaries.
-  void offer_batch(std::span<const std::uint32_t> ad_ids,
-                   std::span<const core::ClickId> ids, std::span<bool> out,
-                   std::uint64_t time_us = 0);
-
-  /// Batch route path with per-click timestamps (times.size() ≥ n).
   void offer_batch(std::span<const std::uint32_t> ad_ids,
                    std::span<const core::ClickId> ids,
                    std::span<const std::uint64_t> times, std::span<bool> out);
@@ -173,12 +173,11 @@ class TieredDetectorPool {
     std::size_t memory_bits = 0;
   };
 
-  /// The one routing path behind offer() and both offer_batch overloads.
-  /// `times` holds per-click timestamps, or is null to stamp every click
-  /// with `time_us`.
+  /// The one routing path behind offer() (a batch of one) and
+  /// offer_batch.
   void route_locked(std::span<const std::uint32_t> ad_ids,
                     std::span<const core::ClickId> ids,
-                    const std::uint64_t* times, std::uint64_t time_us,
+                    std::span<const std::uint64_t> times,
                     std::span<bool> out);
   void maintain_locked();
   /// Builds a hot detector for `ad` sized from `observed` epoch clicks;

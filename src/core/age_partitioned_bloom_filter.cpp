@@ -243,22 +243,6 @@ bool AgePartitionedBloomFilter::do_offer(ClickId id, std::uint64_t time_us) {
 }
 
 void AgePartitionedBloomFilter::offer_batch(std::span<const ClickId> ids,
-                                            std::span<bool> out,
-                                            std::uint64_t time_us) {
-  if (ids.empty()) return;
-  if (window_.basis == WindowBasis::kTime) {
-    // One timestamp stamps the whole batch, so advancing time once up
-    // front is identical to advancing before every element (the repeat
-    // advances would be delta-zero no-ops) — then the batch takes the
-    // block-hashed probe loop instead of the scalar fallback.
-    advance_time(time_us);
-    offer_batch_time(ids, nullptr, out);
-    return;
-  }
-  offer_batch_count(ids, out);
-}
-
-void AgePartitionedBloomFilter::offer_batch(std::span<const ClickId> ids,
                                             std::span<const std::uint64_t> times,
                                             std::span<bool> out) {
   if (ids.empty()) return;
@@ -266,7 +250,7 @@ void AgePartitionedBloomFilter::offer_batch(std::span<const ClickId> ids,
     offer_batch_count(ids, out);  // count basis never reads timestamps
     return;
   }
-  offer_batch_time(ids, times.data(), out);
+  offer_batch_time(ids, times, out);
 }
 
 void AgePartitionedBloomFilter::offer_batch_count(std::span<const ClickId> ids,
@@ -302,19 +286,18 @@ void AgePartitionedBloomFilter::offer_batch_count(std::span<const ClickId> ids,
   if (ops_ != nullptr) ops_->hash_evals += ring.hashed();
 }
 
-void AgePartitionedBloomFilter::offer_batch_time(std::span<const ClickId> ids,
-                                                 const std::uint64_t* times,
-                                                 std::span<bool> out) {
+void AgePartitionedBloomFilter::offer_batch_time(
+    std::span<const ClickId> ids, std::span<const std::uint64_t> times,
+    std::span<bool> out) {
   // Time basis with the hash stage batched: index derivation depends only
   // on the key, so hashing a block ahead commutes with the per-element
   // advance_time interleave and verdicts match a sequential replay
-  // exactly. `times == nullptr` means the caller already advanced time
-  // for the whole batch (scalar-time overload).
+  // exactly.
   const auto prefetch = [&](const std::uint64_t* idx) { prefetch_idx(idx); };
   detail::BatchHashRing ring(family_, ids);
   ring.prime(prefetch);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (times != nullptr) advance_time(times[i]);
+    advance_time(times[i]);
     out[i] = probe_and_insert_idx(ring.rows(i));
     ring.advance(i, prefetch);
   }

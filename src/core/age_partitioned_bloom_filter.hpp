@@ -80,8 +80,7 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
   AgePartitionedBloomFilter(WindowSpec window, Options opts);
 
   bool do_offer(ClickId id, std::uint64_t time_us) override;
-  void offer_batch(std::span<const ClickId> ids, std::span<bool> out,
-                   std::uint64_t time_us = 0) override;
+  using DuplicateDetector::offer_batch;
   void offer_batch(std::span<const ClickId> ids,
                    std::span<const std::uint64_t> times,
                    std::span<bool> out) override;
@@ -165,7 +164,8 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
   void prefetch_idx(const std::uint64_t* idx) const;
   void offer_batch_count(std::span<const ClickId> ids, std::span<bool> out);
   void offer_batch_time(std::span<const ClickId> ids,
-                        const std::uint64_t* times, std::span<bool> out);
+                        std::span<const std::uint64_t> times,
+                        std::span<bool> out);
 
   void write_state(std::ostream& out) const;
   void read_state(std::istream& in);

@@ -6,7 +6,9 @@
 // identical click was already accepted as *valid* inside the current
 // decaying window. A click reported non-duplicate is atomically recorded as
 // valid. Detectors are single-stream objects; wrap one per ad (or per
-// identifier policy) and feed clicks in arrival order.
+// identifier policy) and feed clicks in arrival order. A batch is the same
+// stream in one call: offer_batch(ids, times, out) carries each click's
+// own timestamp and is verdict-for-verdict a loop of offer().
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/op_counter.hpp"
 #include "core/window.hpp"
@@ -42,34 +45,30 @@ class DuplicateDetector {
     return do_offer(id, time_us);
   }
 
-  /// Processes a micro-batch sharing one timestamp; verdicts land in
-  /// `out[i]` for `ids[i]` (out.size() ≥ ids.size()). Semantically
-  /// identical to offering in a loop; detectors override it to pipeline
-  /// hash computation and memory prefetch across elements.
-  ///
-  /// Time-based callers beware: stamping a whole micro-batch with one
-  /// time_us coarsens window expiry to batch granularity. When real
-  /// per-click timestamps exist, use the `times` overload below — it is
-  /// the one whose verdicts match a sequential replay exactly.
-  virtual void offer_batch(std::span<const ClickId> ids, std::span<bool> out,
-                           std::uint64_t time_us = 0) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      out[i] = offer(ids[i], time_us);
-    }
-  }
-
-  /// Processes a micro-batch with PER-CLICK timestamps: verdict-for-verdict
-  /// identical to `offer(ids[i], times[i])` in a loop (times.size() ≥
-  /// ids.size(), monotone non-decreasing like offer()'s contract;
-  /// count-based detectors ignore it). This is the batch entry point for
-  /// time-based windows — the scalar-time overload above collapses a whole
-  /// batch onto one timestamp, which this one does not.
+  /// The batch entry point: processes a micro-batch in arrival order with
+  /// PER-CLICK timestamps, writing the verdict for `ids[i]` to `out[i]`.
+  /// Verdict-for-verdict identical to `offer(ids[i], times[i])` in a loop
+  /// (times.size() ≥ ids.size() and out.size() ≥ ids.size(); times are
+  /// monotone non-decreasing like offer()'s, and count-based detectors
+  /// ignore them). Detectors override it to pipeline hash computation and
+  /// memory prefetch across elements.
   virtual void offer_batch(std::span<const ClickId> ids,
                            std::span<const std::uint64_t> times,
                            std::span<bool> out) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
       out[i] = offer(ids[i], times[i]);
     }
+  }
+
+  /// Convenience for callers without per-click times (count windows): the
+  /// whole batch is stamped with `time_us` and handed to the timed
+  /// overload in ONE call, so a sharded detector still buckets and fans
+  /// out the batch as a whole. No detector overrides it; it stays virtual
+  /// only so instrumenting wrappers can intercept it.
+  virtual void offer_batch(std::span<const ClickId> ids, std::span<bool> out,
+                           std::uint64_t time_us = 0) {
+    const std::vector<std::uint64_t> times(ids.size(), time_us);
+    offer_batch(ids, times, out);
   }
 
   /// The window model this detector implements.

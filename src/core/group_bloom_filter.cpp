@@ -157,22 +157,6 @@ bool GroupBloomFilter::do_offer(ClickId id, std::uint64_t time_us) {
 }
 
 void GroupBloomFilter::offer_batch(std::span<const ClickId> ids,
-                                   std::span<bool> out,
-                                   std::uint64_t time_us) {
-  if (ids.empty()) return;
-  if (window_.basis == WindowBasis::kTime) {
-    // One timestamp stamps the whole batch, so advancing time once up
-    // front is identical to advancing before every element (the repeat
-    // advances would be delta-zero no-ops) — and then the batch can take
-    // the block-hashed probe loop instead of the scalar fallback.
-    advance_time(time_us);
-    offer_batch_time(ids, nullptr, out);
-    return;
-  }
-  offer_batch_count(ids, out);
-}
-
-void GroupBloomFilter::offer_batch(std::span<const ClickId> ids,
                                    std::span<const std::uint64_t> times,
                                    std::span<bool> out) {
   if (ids.empty()) return;
@@ -180,7 +164,7 @@ void GroupBloomFilter::offer_batch(std::span<const ClickId> ids,
     offer_batch_count(ids, out);  // count basis never reads timestamps
     return;
   }
-  offer_batch_time(ids, times.data(), out);
+  offer_batch_time(ids, times, out);
 }
 
 void GroupBloomFilter::offer_batch_count(std::span<const ClickId> ids,
@@ -263,13 +247,12 @@ void GroupBloomFilter::offer_batch_count(std::span<const ClickId> ids,
 }
 
 void GroupBloomFilter::offer_batch_time(std::span<const ClickId> ids,
-                                        const std::uint64_t* times,
+                                        std::span<const std::uint64_t> times,
                                         std::span<bool> out) {
   // Time basis with the hash stage batched: index derivation depends only
   // on the key, so hashing a block ahead commutes with the per-element
   // advance_time interleave and verdicts match a sequential replay
-  // exactly. `times == nullptr` means the caller already advanced time
-  // for the whole batch (scalar-time overload).
+  // exactly.
   const std::size_t k = family_.k();
   const std::size_t prefetches =
       family_.strategy() == hashing::IndexStrategy::kCacheLineBlocked ? 1 : k;
@@ -281,7 +264,7 @@ void GroupBloomFilter::offer_batch_time(std::span<const ClickId> ids,
   detail::BatchHashRing ring(family_, ids);
   ring.prime(prefetch_rows);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (times != nullptr) advance_time(times[i]);
+    advance_time(times[i]);
     out[i] = probe_and_insert_rows(ring.rows(i), k);
     ring.advance(i, prefetch_rows);
   }

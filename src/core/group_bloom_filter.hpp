@@ -49,8 +49,7 @@ class GroupBloomFilter final : public DuplicateDetector {
   GroupBloomFilter(WindowSpec window, Options opts);
 
   bool do_offer(ClickId id, std::uint64_t time_us) override;
-  void offer_batch(std::span<const ClickId> ids, std::span<bool> out,
-                   std::uint64_t time_us = 0) override;
+  using DuplicateDetector::offer_batch;
   void offer_batch(std::span<const ClickId> ids,
                    std::span<const std::uint64_t> times,
                    std::span<bool> out) override;
@@ -106,7 +105,8 @@ class GroupBloomFilter final : public DuplicateDetector {
   void finish_arrival_count_basis();
   void offer_batch_count(std::span<const ClickId> ids, std::span<bool> out);
   void offer_batch_time(std::span<const ClickId> ids,
-                        const std::uint64_t* times, std::span<bool> out);
+                        std::span<const std::uint64_t> times,
+                        std::span<bool> out);
 
   WindowSpec window_;
   std::uint64_t bits_per_subfilter_;

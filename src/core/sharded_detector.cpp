@@ -85,32 +85,15 @@ bool ShardedDetector::do_offer(ClickId id, std::uint64_t time_us) {
 }
 
 void ShardedDetector::offer_batch(std::span<const ClickId> ids,
-                                  std::span<bool> out, std::uint64_t time_us) {
-  offer_batch_impl(ids, nullptr, time_us, out);
-}
-
-void ShardedDetector::offer_batch(std::span<const ClickId> ids,
                                   std::span<const std::uint64_t> times,
                                   std::span<bool> out) {
-  offer_batch_impl(ids, times.data(), 0, out);
-}
-
-void ShardedDetector::offer_batch_impl(std::span<const ClickId> ids,
-                                       const std::uint64_t* times,
-                                       std::uint64_t time_us,
-                                       std::span<bool> out) {
   const std::size_t n = ids.size();
   if (n == 0) return;
   const std::size_t shard_count = shards_.size();
   if (shard_count == 1) {
     Shard& shard = shards_.front();
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (times != nullptr) {
-      shard.detector->offer_batch(
-          ids, std::span<const std::uint64_t>(times, n), out);
-    } else {
-      shard.detector->offer_batch(ids, out, time_us);
-    }
+    shard.detector->offer_batch(ids, times, out);
     return;
   }
 
@@ -129,20 +112,20 @@ void ShardedDetector::offer_batch_impl(std::span<const ClickId> ids,
     scratch.offsets[s + 1] += scratch.offsets[s];
   }
 
-  // Pass 2 — scatter ids (and per-click timestamps, when given) into
-  // shard-contiguous order, remembering where each slot came from so
-  // verdicts can be returned in caller order. Within a shard the scatter
-  // is stable, so each bucket's timestamps stay monotone like the input.
+  // Pass 2 — scatter ids and their timestamps into shard-contiguous order,
+  // remembering where each slot came from so verdicts can be returned in
+  // caller order. Within a shard the scatter is stable, so each bucket's
+  // timestamps stay monotone like the input.
   scratch.cursor.assign(scratch.offsets.begin(),
                         scratch.offsets.end() - 1);
   scratch.bucketed.resize(n);
   scratch.origin.resize(n);
   scratch.verdicts.resize(n);
-  if (times != nullptr) scratch.bucketed_times.resize(n);
+  scratch.bucketed_times.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t p = scratch.cursor[scratch.shard_index[i]]++;
     scratch.bucketed[p] = ids[i];
-    if (times != nullptr) scratch.bucketed_times[p] = times[i];
+    scratch.bucketed_times[p] = times[i];
     scratch.origin[p] = static_cast<std::uint32_t>(i);
   }
   scratch.active.clear();
@@ -165,15 +148,11 @@ void ShardedDetector::offer_batch_impl(std::span<const ClickId> ids,
         scratch.bucketed.data() + begin, count);
     const std::span<bool> bucket_out(
         reinterpret_cast<bool*>(scratch.verdicts.data()) + begin, count);
-    if (times != nullptr) {
-      shard.detector->offer_batch(
-          bucket_ids,
-          std::span<const std::uint64_t>(
-              scratch.bucketed_times.data() + begin, count),
-          bucket_out);
-    } else {
-      shard.detector->offer_batch(bucket_ids, bucket_out, time_us);
-    }
+    shard.detector->offer_batch(
+        bucket_ids,
+        std::span<const std::uint64_t>(scratch.bucketed_times.data() + begin,
+                                       count),
+        bucket_out);
   };
   if (pool_ != nullptr && scratch.active.size() > 1) {
     pool_->parallel_for_each(scratch.active.size(), drain_bucket);

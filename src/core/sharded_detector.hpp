@@ -3,14 +3,14 @@
 // Click identifiers are partitioned across S inner detectors by a hash of
 // the identifier; identical clicks always land on the same shard, so the
 // zero-false-negative guarantee is preserved. Each shard has its own
-// mutex: offer() takes one lock per click; offer_batch() bucketizes a
-// micro-batch by shard in one counting-sort pass, drains each bucket under
-// a SINGLE lock acquisition through the inner pipelined offer_batch, and
-// optionally fans the buckets out across an internal ThreadPool
-// (Options::threads > 1). Within a shard the bucketization is stable, so
-// verdicts are bit-identical to a sequential replay at every thread count
-// (tests/parallel_batch_test.cpp), including time-based windows via the
-// per-click-timestamp offer_batch overload.
+// mutex: offer() takes one lock per click; offer_batch(ids, times, out)
+// bucketizes a micro-batch by shard in one counting-sort pass, carrying
+// each click's timestamp with its id, drains each bucket under a SINGLE
+// lock acquisition through the inner pipelined offer_batch, and optionally
+// fans the buckets out across an internal ThreadPool (Options::threads >
+// 1). Within a shard the bucketization is stable, so verdicts are
+// bit-identical to a sequential replay at every thread count and window
+// basis (tests/parallel_batch_test.cpp).
 //
 // Window semantics under sharding:
 //  * time-based windows: EXACT — expiry depends only on timestamps, which
@@ -68,8 +68,7 @@ class ShardedDetector final : public DuplicateDetector {
   ShardedDetector(std::size_t shards, const Factory& factory, Options opts);
 
   bool do_offer(ClickId id, std::uint64_t time_us) override;
-  void offer_batch(std::span<const ClickId> ids, std::span<bool> out,
-                   std::uint64_t time_us = 0) override;
+  using DuplicateDetector::offer_batch;
   void offer_batch(std::span<const ClickId> ids,
                    std::span<const std::uint64_t> times,
                    std::span<bool> out) override;
@@ -132,13 +131,6 @@ class ShardedDetector final : public DuplicateDetector {
   }
 
  private:
-  /// Shared bucketize/fan-out/gather path: `times` non-null scatters a
-  /// per-click timestamp alongside every id and drains each bucket through
-  /// the inner timed offer_batch; null stamps every bucket with `time_us`.
-  void offer_batch_impl(std::span<const ClickId> ids,
-                        const std::uint64_t* times, std::uint64_t time_us,
-                        std::span<bool> out);
-
   // One cache line per shard: the mutex and the detector pointer of
   // neighbouring shards must not false-share when different threads drive
   // different shards.

@@ -230,39 +230,17 @@ bool TimingBloomFilter::do_offer(ClickId id, std::uint64_t time_us) {
 }
 
 void TimingBloomFilter::offer_batch(std::span<const ClickId> ids,
-                                    std::span<bool> out,
-                                    std::uint64_t time_us) {
-  if (ids.empty()) return;
-  if (window_.basis == WindowBasis::kTime) {
-    // One timestamp stamps the whole batch, so advancing time once up
-    // front is identical to advancing before every element (the repeat
-    // advances would be delta-zero no-ops) — then the batch takes the
-    // block-hashed probe loop instead of the scalar fallback.
-    advance_time(time_us);
-    offer_batch_time(ids, nullptr, out);
-    return;
-  }
-  offer_batch_count(ids, out);
-}
-
-void TimingBloomFilter::offer_batch(std::span<const ClickId> ids,
                                     std::span<const std::uint64_t> times,
                                     std::span<bool> out) {
-  if (ids.empty()) return;
-  if (window_.basis == WindowBasis::kCount) {
-    offer_batch_count(ids, out);  // count basis never reads timestamps
-    return;
-  }
-  offer_batch_time(ids, times.data(), out);
-}
-
-void TimingBloomFilter::offer_batch_count(std::span<const ClickId> ids,
-                                          std::span<bool> out) {
   // Software pipeline: the ring block-hashes ids through the
   // IndexFamily::indices_batch path (same ring as GroupBloomFilter) and
   // keeps one hashed-and-prefetched block ahead of classification, so the
   // table has a block's worth of timestamp entries in flight instead of
-  // one element's.
+  // one element's. Index derivation depends only on the key, so hashing
+  // ahead commutes with the per-arrival clock step of either basis and
+  // verdicts match a sequential replay exactly.
+  if (ids.empty()) return;
+  const bool time_basis = window_.basis == WindowBasis::kTime;
   const std::size_t k = family_.k();
   const auto prefetch_idx = [&](const std::uint64_t* idx) {
     for (std::size_t h = 0; h < k; ++h) {
@@ -272,31 +250,13 @@ void TimingBloomFilter::offer_batch_count(std::span<const ClickId> ids,
   detail::BatchHashRing ring(family_, ids);
   ring.prime(prefetch_idx);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    begin_arrival_count_basis();
-    out[i] = probe_and_insert_idx(ring.rows(i), k);
-    ring.advance(i, prefetch_idx);
-  }
-  if (ops_ != nullptr) ops_->hash_evals += ring.hashed();
-}
-
-void TimingBloomFilter::offer_batch_time(std::span<const ClickId> ids,
-                                         const std::uint64_t* times,
-                                         std::span<bool> out) {
-  // Time basis with the hash stage batched: index derivation depends only
-  // on the key, so hashing a block ahead commutes with the per-element
-  // advance_time interleave and verdicts match a sequential replay
-  // exactly. `times == nullptr` means the caller already advanced time
-  // for the whole batch (scalar-time overload).
-  const std::size_t k = family_.k();
-  const auto prefetch_idx = [&](const std::uint64_t* idx) {
-    for (std::size_t h = 0; h < k; ++h) {
-      table_.prefetch(static_cast<std::size_t>(idx[h]));
+    // The bases differ only in this clock step; the count basis never
+    // reads the timestamps.
+    if (time_basis) {
+      advance_time(times[i]);
+    } else {
+      begin_arrival_count_basis();
     }
-  };
-  detail::BatchHashRing ring(family_, ids);
-  ring.prime(prefetch_idx);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (times != nullptr) advance_time(times[i]);
     out[i] = probe_and_insert_idx(ring.rows(i), k);
     ring.advance(i, prefetch_idx);
   }

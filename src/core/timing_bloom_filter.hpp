@@ -79,8 +79,7 @@ class TimingBloomFilter final : public DuplicateDetector {
   TimingBloomFilter(WindowSpec window, Options opts);
 
   bool do_offer(ClickId id, std::uint64_t time_us) override;
-  void offer_batch(std::span<const ClickId> ids, std::span<bool> out,
-                   std::uint64_t time_us = 0) override;
+  using DuplicateDetector::offer_batch;
   void offer_batch(std::span<const ClickId> ids,
                    std::span<const std::uint64_t> times,
                    std::span<bool> out) override;
@@ -137,9 +136,6 @@ class TimingBloomFilter final : public DuplicateDetector {
   void begin_arrival_count_basis();
   bool probe_and_insert(ClickId id);
   bool probe_and_insert_idx(const std::uint64_t* idx, std::size_t k);
-  void offer_batch_count(std::span<const ClickId> ids, std::span<bool> out);
-  void offer_batch_time(std::span<const ClickId> ids,
-                        const std::uint64_t* times, std::span<bool> out);
 
   WindowSpec window_;
   std::uint64_t window_ticks_;   // N, Q, or R depending on the window

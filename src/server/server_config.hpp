@@ -133,7 +133,7 @@ inline core::DetectorBackend parse_backend_spec(const std::string& text) {
 
 /// Parses "sliding:N", "jumping:N:Q", "landmark:N",
 /// "sliding-time:SPAN_US:UNIT_US", "jumping-time:SPAN_US:Q:UNIT_US" — the
-/// same grammar as ppcguard's --window flag.
+/// --window grammar of ppcd, ppc_loadgen and ppcguard.
 inline core::WindowSpec parse_window_spec(const std::string& text) {
   std::vector<std::string> parts;
   std::size_t start = 0;

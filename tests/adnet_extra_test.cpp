@@ -92,7 +92,8 @@ TEST(DetectorPool, BatchCapFailureIsAtomic) {
   const core::ClickId ids[] = {7, 8, 7};
   std::vector<char> out_raw(3, 1);  // sentinel: must stay untouched
   const std::span<bool> out(reinterpret_cast<bool*>(out_raw.data()), 3);
-  EXPECT_THROW(pool.offer_batch(ads, ids, out, 0), std::length_error);
+  const std::uint64_t times[] = {0, 0, 0};
+  EXPECT_THROW(pool.offer_batch(ads, ids, times, out), std::length_error);
 
   // No verdict was written, ad 2 was admitted (empty, metered), ad 3 never
   // made it in, and ad 1's window is untouched.
@@ -106,7 +107,7 @@ TEST(DetectorPool, BatchCapFailureIsAtomic) {
   // ids 7 and 8 are first offers, the repeated 7 is the only duplicate.
   pool.evict(1);
   out_raw.assign(3, 1);
-  pool.offer_batch(ads, ids, out, 0);
+  pool.offer_batch(ads, ids, times, out);
   EXPECT_FALSE(out[0]);
   EXPECT_FALSE(out[1]);
   EXPECT_TRUE(out[2]);
@@ -130,6 +131,7 @@ TEST(DetectorPool, EvictDuringConcurrentOfferBatch) {
   auto offer_loop = [&](std::uint32_t ad_base, std::uint64_t id_base) {
     std::vector<std::uint32_t> ads(kBatch);
     std::vector<core::ClickId> ids(kBatch);
+    std::vector<std::uint64_t> times(kBatch);
     std::vector<char> out(kBatch);
     const std::span<bool> out_span(reinterpret_cast<bool*>(out.data()),
                                    kBatch);
@@ -137,8 +139,9 @@ TEST(DetectorPool, EvictDuringConcurrentOfferBatch) {
       for (std::size_t i = 0; i < kBatch; ++i) {
         ads[i] = ad_base + static_cast<std::uint32_t>(i % 16);
         ids[i] = id_base + static_cast<std::uint64_t>(r) * kBatch + i;
+        times[i] = static_cast<std::uint64_t>(r);
       }
-      pool.offer_batch(ads, ids, out_span, static_cast<std::uint64_t>(r));
+      pool.offer_batch(ads, ids, times, out_span);
     }
   };
   std::thread a(offer_loop, 0u, std::uint64_t{1} << 32);

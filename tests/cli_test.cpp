@@ -79,8 +79,28 @@ TEST(Cli, DetectRequiresTraceFlag) {
 
 TEST(Cli, BadWindowSyntaxIsReported) {
   const auto r = run("detect --trace=/nonexistent --window=circular:9");
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("unrecognized --window"), std::string::npos);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("--window: unrecognized window spec"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(Cli, MalformedNumberIsRefused) {
+  // Strict parsing: "16x" is not read as 16.
+  const auto r = run("plan --window-n=16x");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("invalid value for --window-n: '16x'"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(Cli, UnknownFlagIsRefused) {
+  const auto r = run("plan --windw=16");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown flag --windw"), std::string::npos)
+      << r.output;
+  // A flag another command reads is still unknown to this one.
+  EXPECT_EQ(run("plan --trace=x").exit_code, 2);
 }
 
 }  // namespace

@@ -748,6 +748,25 @@ TEST(PpcdCli, UnknownFlagsFailNamingTheFlag) {
   }
 }
 
+TEST(PpcdCli, TieredOnlyFlagsNeedTieredSink) {
+  // The tiered-pool knobs mean nothing to the other sinks; accepting them
+  // there would silently ignore them, malformed or not.
+  for (const std::string bad :
+       {"hot-fpr=1e-4", "tail-window=1024", "tail-fpr=0.5abc", "epoch=64",
+        "promote-share=0.1", "demote-share=0.01"}) {
+    for (const char* sink : {"sharded", "pool"}) {
+      const auto r = run_cmd("timeout 10 " + ppcd_bin() +
+                             " --listen=127.0.0.1:0 --sink=" + sink + " --" +
+                             bad);
+      EXPECT_EQ(r.exit_code, 2) << bad << " with --sink=" << sink;
+      EXPECT_NE(r.output.find("--" + bad.substr(0, bad.find('=')) +
+                              " requires --sink=tiered"),
+                std::string::npos)
+          << r.output;
+    }
+  }
+}
+
 TEST(PpcdCli, RestoreMismatchedWindowFailsNamingWindow) {
   const std::string path = write_sharded_snapshot(cli_cfg(), "cli_win.snap");
   const auto r = run_cmd("timeout 10 " + ppcd_bin() +

@@ -286,14 +286,15 @@ TEST(DetectorPoolBatch, MatchesSequentialRoutingAcrossWorkerThreads) {
 
   DetectorPool batched(per_ad_tbf);
   std::vector<char> out(n);
+  const std::vector<std::uint64_t> times(n, 0);  // count windows ignore them
   constexpr std::size_t kBatchLen = 777;
   for (std::size_t off = 0; off < n; off += kBatchLen) {
     const std::size_t len = std::min(kBatchLen, n - off);
     batched.offer_batch(
         std::span<const std::uint32_t>(ad_ids.data() + off, len),
         std::span<const core::ClickId>(ids.data() + off, len),
-        std::span<bool>(reinterpret_cast<bool*>(out.data()) + off, len),
-        /*time_us=*/0);
+        std::span<const std::uint64_t>(times.data() + off, len),
+        std::span<bool>(reinterpret_cast<bool*>(out.data()) + off, len));
   }
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(out[i] != 0, expected[i]) << "diverged at " << i;
@@ -354,20 +355,28 @@ TEST(DetectorPoolBatch, RejectsMismatchedSpans) {
   DetectorPool pool(per_ad_tbf);
   const std::uint32_t ads[] = {1, 2};
   const core::ClickId ids[] = {10, 11};
-  bool out[1];
+  const std::uint64_t times[] = {0, 0};
+  bool out[2];
   EXPECT_THROW(pool.offer_batch(std::span<const std::uint32_t>(ads, 1),
                                 std::span<const core::ClickId>(ids, 2),
+                                std::span<const std::uint64_t>(times, 2),
+                                std::span<bool>(out, 2)),
+               std::invalid_argument);
+  EXPECT_THROW(pool.offer_batch(std::span<const std::uint32_t>(ads, 2),
+                                std::span<const core::ClickId>(ids, 2),
+                                std::span<const std::uint64_t>(times, 2),
                                 std::span<bool>(out, 1)),
                std::invalid_argument);
   EXPECT_THROW(pool.offer_batch(std::span<const std::uint32_t>(ads, 2),
                                 std::span<const core::ClickId>(ids, 2),
-                                std::span<bool>(out, 1)),
+                                std::span<const std::uint64_t>(times, 1),
+                                std::span<bool>(out, 2)),
                std::invalid_argument);
 }
 
 TEST(DetectorPoolBatch, EmptyBatchIsANoOp) {
   DetectorPool pool(per_ad_tbf);
-  pool.offer_batch({}, {}, {});
+  pool.offer_batch({}, {}, {}, {});
   EXPECT_EQ(pool.size(), 0u);
 }
 

@@ -135,8 +135,8 @@ void expect_same_stats(const TierStats& a, const TierStats& b,
 }
 
 TEST(TieredPool, BatchMatchesScalarReplay) {
-  // Both offer_batch overloads must be verdict-for-verdict, counter-for-
-  // counter and byte-for-byte identical to an offer() loop, at batch sizes
+  // offer_batch must be verdict-for-verdict, counter-for-counter and
+  // byte-for-byte identical to an offer() loop, at batch sizes
   // below, at, and above the tail chunk, with 1024-click epochs so batches
   // straddle maintenance boundaries — for count- and time-basis hot tiers.
   constexpr std::size_t kClicks = 20'000;
@@ -163,48 +163,35 @@ TEST(TieredPool, BatchMatchesScalarReplay) {
     TieredPoolOptions opts = small_opts();
     opts.hot_window = hot_window;
     opts.epoch_clicks = 1 << 10;
-    for (const bool per_click_times : {true, false}) {
-      for (const std::size_t batch : {1, 7, 256, 999, 4096}) {
-        const std::string where =
-            hot_window.describe() +
-            (per_click_times ? " times overload" : " shared-time overload") +
-            ", batch " + std::to_string(batch);
-        TieredDetectorPool scalar_pool(opts);
-        TieredDetectorPool batch_pool(opts);
-        std::vector<char> scalar_out(kClicks);
-        std::vector<char> batch_out_raw(kClicks);
-        const std::span<bool> batch_out(
-            reinterpret_cast<bool*>(batch_out_raw.data()), kClicks);
-        for (std::size_t off = 0; off < kClicks; off += batch) {
-          const std::size_t len = std::min(batch, kClicks - off);
-          const auto ad_span =
-              std::span<const std::uint32_t>(ads).subspan(off, len);
-          const auto id_span =
-              std::span<const core::ClickId>(ids).subspan(off, len);
-          if (per_click_times) {
-            batch_pool.offer_batch(
-                ad_span, id_span,
-                std::span<const std::uint64_t>(times).subspan(off, len),
-                batch_out.subspan(off, len));
-          } else {
-            batch_pool.offer_batch(ad_span, id_span,
-                                   batch_out.subspan(off, len), times[off]);
-          }
-          for (std::size_t i = off; i < off + len; ++i) {
-            scalar_out[i] = scalar_pool.offer(
-                ads[i], ids[i], per_click_times ? times[i] : times[off]);
-          }
-        }
-        for (std::size_t i = 0; i < kClicks; ++i) {
-          ASSERT_EQ(scalar_out[i] != 0, batch_out[i])
-              << where << ": verdict diverged at click " << i;
-        }
-        const TierStats a = scalar_pool.stats();
-        expect_same_stats(a, batch_pool.stats(), where);
-        EXPECT_GT(a.promotions, 0u) << where << ": no tier move exercised";
-        EXPECT_GT(a.duplicates, 0u) << where;
-        EXPECT_EQ(save_bytes(scalar_pool), save_bytes(batch_pool)) << where;
+    for (const std::size_t batch : {1, 7, 256, 999, 4096}) {
+      const std::string where =
+          hot_window.describe() + ", batch " + std::to_string(batch);
+      TieredDetectorPool scalar_pool(opts);
+      TieredDetectorPool batch_pool(opts);
+      std::vector<char> scalar_out(kClicks);
+      std::vector<char> batch_out_raw(kClicks);
+      const std::span<bool> batch_out(
+          reinterpret_cast<bool*>(batch_out_raw.data()), kClicks);
+      for (std::size_t off = 0; off < kClicks; off += batch) {
+        const std::size_t len = std::min(batch, kClicks - off);
+        batch_pool.offer_batch(
+            std::span<const std::uint32_t>(ads).subspan(off, len),
+            std::span<const core::ClickId>(ids).subspan(off, len),
+            std::span<const std::uint64_t>(times).subspan(off, len),
+            batch_out.subspan(off, len));
       }
+      for (std::size_t i = 0; i < kClicks; ++i) {
+        scalar_out[i] = scalar_pool.offer(ads[i], ids[i], times[i]);
+      }
+      for (std::size_t i = 0; i < kClicks; ++i) {
+        ASSERT_EQ(scalar_out[i] != 0, batch_out[i])
+            << where << ": verdict diverged at click " << i;
+      }
+      const TierStats a = scalar_pool.stats();
+      expect_same_stats(a, batch_pool.stats(), where);
+      EXPECT_GT(a.promotions, 0u) << where << ": no tier move exercised";
+      EXPECT_GT(a.duplicates, 0u) << where;
+      EXPECT_EQ(save_bytes(scalar_pool), save_bytes(batch_pool)) << where;
     }
   }
 }

@@ -4,10 +4,12 @@
 #   1. regular build + full ctest suite (the ROADMAP tier-1 command);
 #   2. CLI validation: ppcd must reject --loops=0 and --loops beyond the
 #      hardware threads (without --oversubscribe-loops) with clear errors,
-#      ppcd / ppc_loadgen must refuse any flag they do not read
+#      ppcd / ppc_loadgen / ppcguard must refuse any flag they do not read
 #      (a retired flag like --engine=on, or a misspelling) with exit 2,
-#      and must refuse a malformed numeric value (--memory-mib=16x,
-#      --shards=-1, --clicks=-1) with exit 2 while parsing flags;
+#      must refuse a malformed numeric value (--memory-mib=16x,
+#      --shards=-1, --clicks=-1, ppcguard plan --window-n=16x) with exit 2
+#      while parsing flags, and ppcd must refuse a tiered-pool flag
+#      (--hot-fpr=...) on any sink but --sink=tiered with exit 2;
 #   3. the zero-false-negative gate: bench/multitenant_pool at its default
 #      scale (~2 s) exits 1 if the tiered pool misses any in-window
 #      duplicate across promotions and demotions; then the frozen wire
@@ -55,7 +57,7 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   cmake --build build -j "$JOBS"
   (cd build && ctest --output-on-failure -j "$JOBS")
 
-  echo "== cli gate: bad --loops values, unknown flags, malformed numbers =="
+  echo "== cli gate: bad --loops values, unknown flags, malformed numbers, sink-only flags =="
   # `|| true` inside $(...): ppcd exiting nonzero is the EXPECTED outcome
   # here and must not trip set -e / pipefail — the assertions below are on
   # the exit status (checked via if) and the error text.
@@ -78,7 +80,8 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   for cmd in "./build/tools/ppcd --listen=127.0.0.1:0 --engine=on" \
              "./build/tools/ppcd --listen=127.0.0.1:0 --shard=4" \
              "./build/tools/ppc_loadgen --engine=on" \
-             "./build/tools/ppc_loadgen --clickz=10"; do
+             "./build/tools/ppc_loadgen --clickz=10" \
+             "./build/tools/ppcguard plan --bogus=1"; do
     RC=0
     OUT=$($cmd 2>&1) || RC=$?
     BAD=${cmd##* --}
@@ -93,7 +96,8 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   # a failure instead of a hang.
   for cmd in "./build/tools/ppcd --listen=127.0.0.1:0 --memory-mib=16x" \
              "./build/tools/ppcd --listen=127.0.0.1:0 --shards=-1" \
-             "./build/tools/ppc_loadgen --connect=127.0.0.1:1 --clicks=-1"; do
+             "./build/tools/ppc_loadgen --connect=127.0.0.1:1 --clicks=-1" \
+             "./build/tools/ppcguard plan --window-n=16x"; do
     RC=0
     OUT=$(timeout 20 $cmd 2>&1) || RC=$?
     BAD=${cmd##* --}
@@ -102,6 +106,13 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
       echo "FAIL: '$cmd' exited $RC without refusing --$BAD: $OUT"; exit 1
     fi
   done
+  # Tiered-pool flags on another sink: refused, not silently ignored.
+  cmd="./build/tools/ppcd --listen=127.0.0.1:0 --sink=pool --hot-fpr=1e-4"
+  RC=0
+  OUT=$(timeout 20 $cmd 2>&1) || RC=$?
+  if [[ "$RC" != 2 ]] || ! echo "$OUT" | grep -q -- "--hot-fpr requires --sink=tiered"; then
+    echo "FAIL: '$cmd' exited $RC without refusing --hot-fpr: $OUT"; exit 1
+  fi
 
   echo "== zero-FN gate: multitenant_pool =="
   ./build/bench/multitenant_pool

@@ -1,6 +1,7 @@
-// Command-line flag parsing shared by ppcd and ppc_loadgen: every argument
-// is --key=value or a bare --key (value "1"). Each tool declares the keys
-// it reads; anything else is refused with a named error and exit status 2,
+// Command-line flag parsing shared by ppcd, ppc_loadgen and ppcguard (which
+// parses the flags after its command word): every argument is --key=value
+// or a bare --key (value "1"). Each tool declares the keys it reads;
+// anything else is refused with a named error and exit status 2,
 // so a misspelled or retired flag can never silently fall back to a
 // default. Numeric values are parsed strictly (server::parse_u64 /
 // parse_double): a negative, partly numeric or empty value is refused with

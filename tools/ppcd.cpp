@@ -100,7 +100,8 @@ namespace {
       "                       pool: per-ad DetectorPool (throws at the cap)\n"
       "                       sharded: one ShardedDetector for every ad\n"
       "                       tiered: adaptive hot/tail TieredDetectorPool\n"
-      "                       (open admission under --memory-cap-mib)\n"
+      "                       (open admission under --memory-cap-mib;\n"
+      "                       the tiered: flags below need --sink=tiered)\n"
       "  --hot-fpr=P          tiered: hot-tier FP target (default 1e-4);\n"
       "                       hot ads get --window detectors sized to it\n"
       "                       (tiered --window default: sliding:4096)\n"
@@ -233,6 +234,15 @@ int main(int argc, char** argv) {
     std::unique_ptr<adnet::TieredDetectorPool> tiered;
     std::unique_ptr<server::ClickSink> sink;
     const std::string sink_kind = flag(flags, "sink", "pool");
+    if (sink_kind != "tiered") {
+      for (const char* key : {"hot-fpr", "tail-window", "tail-fpr", "epoch",
+                              "promote-share", "demote-share"}) {
+        if (flags.contains(key)) {
+          std::fprintf(stderr, "ppcd: --%s requires --sink=tiered\n", key);
+          return 2;
+        }
+      }
+    }
     if (sink_kind == "sharded") {
       detector = server::build_detector(cfg);
       sink = std::make_unique<server::DetectorSink>(*detector);

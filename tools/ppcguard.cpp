@@ -12,10 +12,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "adnet/auditor.hpp"
 #include "analysis/sizing.hpp"
@@ -24,8 +23,14 @@
 #include "stream/adapters.hpp"
 #include "stream/generators.hpp"
 #include "stream/trace.hpp"
+#include "server/server_config.hpp"
+
+#include "cli_flags.hpp"
 
 using namespace ppc;
+using cli::flag;
+using cli::flag_double;
+using cli::flag_u64;
 
 namespace {
 
@@ -45,71 +50,18 @@ namespace {
   std::exit(2);
 }
 
-/// --key=value arguments into a map; anything else is an error.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               const char* argv0) {
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) usage(argv0);
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-std::string flag(const std::map<std::string, std::string>& flags,
-                 const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
-                       const std::string& key, std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
-double flag_f64(const std::map<std::string, std::string>& flags,
-                const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
-}
-
-/// Parses "sliding:N", "jumping:N:Q", "landmark:N" (count-based) and the
-/// time-based "sliding-time:SPAN_US:UNIT_US" / "jumping-time:SPAN:Q:UNIT".
-core::WindowSpec parse_window(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const auto colon = text.find(':', start);
-    parts.push_back(text.substr(start, colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  auto num = [&](std::size_t i) { return std::stoull(parts.at(i)); };
-  if (parts[0] == "sliding" && parts.size() == 2) {
-    return core::WindowSpec::sliding_count(num(1));
-  }
-  if (parts[0] == "jumping" && parts.size() == 3) {
-    return core::WindowSpec::jumping_count(
-        num(1), static_cast<std::uint32_t>(num(2)));
-  }
-  if (parts[0] == "landmark" && parts.size() == 2) {
-    return core::WindowSpec::landmark_count(num(1));
-  }
-  if (parts[0] == "sliding-time" && parts.size() == 3) {
-    return core::WindowSpec::sliding_time(num(1), num(2));
-  }
-  if (parts[0] == "jumping-time" && parts.size() == 4) {
-    return core::WindowSpec::jumping_time(
-        num(1), static_cast<std::uint32_t>(num(2)), num(3));
-  }
-  throw std::invalid_argument("unrecognized --window: " + text);
+/// --window through the strict shared grammar; a malformed spec exits 2
+/// with an error naming the flag.
+core::WindowSpec flag_window(const cli::Flags& flags) {
+  return cli::parse_flag(
+      flags, "window", core::WindowSpec::sliding_count(100000),
+      [](const std::string& text, const std::string& what) {
+        try {
+          return server::parse_window_spec(text);
+        } catch (const std::invalid_argument& e) {
+          throw std::invalid_argument(what + ": " + e.what());
+        }
+      });
 }
 
 stream::IdentifierPolicy parse_policy(const std::string& text) {
@@ -119,7 +71,7 @@ stream::IdentifierPolicy parse_policy(const std::string& text) {
   throw std::invalid_argument("unrecognized --policy: " + text);
 }
 
-int cmd_gen(const std::map<std::string, std::string>& flags) {
+int cmd_gen(const cli::Flags& flags) {
   const std::string out = flag(flags, "out", "");
   if (out.empty()) throw std::invalid_argument("gen: --out is required");
   const std::uint64_t clicks = flag_u64(flags, "clicks", 1'000'000);
@@ -146,7 +98,7 @@ int cmd_gen(const std::map<std::string, std::string>& flags) {
     stream::BotnetAttackOptions atk;
     atk.seed = seed ^ 0xa77ac;
     atk.bot_count = static_cast<std::uint32_t>(flag_u64(flags, "bots", 1000));
-    atk.attack_fraction = flag_f64(flags, "attack-fraction", 0.3);
+    atk.attack_fraction = flag_double(flags, "attack-fraction", 0.3);
     gen = std::make_unique<stream::BotnetAttackStream>(
         std::make_unique<stream::MixedTrafficStream>(bg), atk);
   } else if (kind == "revisit") {
@@ -166,10 +118,10 @@ int cmd_gen(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_detect(const std::map<std::string, std::string>& flags) {
+int cmd_detect(const cli::Flags& flags) {
   const std::string path = flag(flags, "trace", "");
   if (path.empty()) throw std::invalid_argument("detect: --trace is required");
-  const auto window = parse_window(flag(flags, "window", "sliding:100000"));
+  const auto window = flag_window(flags);
   const auto policy = parse_policy(flag(flags, "policy", "ip"));
 
   core::DetectorBudget budget;
@@ -207,12 +159,12 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_audit(const std::map<std::string, std::string>& flags) {
+int cmd_audit(const cli::Flags& flags) {
   const std::string path = flag(flags, "trace", "");
   if (path.empty()) throw std::invalid_argument("audit: --trace is required");
-  const auto window = parse_window(flag(flags, "window", "sliding:100000"));
+  const auto window = flag_window(flags);
   const auto policy = parse_policy(flag(flags, "policy", "ip"));
-  const auto bid = adnet::from_dollars(flag_f64(flags, "bid", 0.25));
+  const auto bid = adnet::from_dollars(flag_double(flags, "bid", 0.25));
 
   core::DetectorBudget budget;
   budget.total_memory_bits = flag_u64(flags, "memory-mib", 16) << 23;
@@ -281,10 +233,10 @@ int cmd_audit(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_plan(const std::map<std::string, std::string>& flags) {
+int cmd_plan(const cli::Flags& flags) {
   const std::uint64_t n = flag_u64(flags, "window-n", 1u << 20);
   const auto q = static_cast<std::uint32_t>(flag_u64(flags, "q", 8));
-  const double fpr = flag_f64(flags, "fpr", 0.01);
+  const double fpr = flag_double(flags, "fpr", 0.01);
 
   const auto gbf = analysis::plan_gbf(n, q, fpr);
   const auto tbf = analysis::plan_tbf(n, fpr);
@@ -311,18 +263,46 @@ int cmd_plan(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// Parses the flags after the command word (argv[1]); a flag the command
+/// does not read exits 2 with its name.
+cli::Flags parse_command_flags(const std::string& command, int argc,
+                               char** argv) {
+  std::vector<char*> args{argv[0]};
+  args.insert(args.end(), argv + 2, argv + argc);
+  const int n = static_cast<int>(args.size());
+  if (command == "gen") {
+    return cli::parse_flags(n, args.data(),
+                            {"out", "clicks", "kind", "seed", "users", "ads",
+                             "bots", "attack-fraction"},
+                            usage);
+  }
+  if (command == "detect") {
+    return cli::parse_flags(
+        n, args.data(), {"trace", "window", "policy", "memory-mib", "hashes"},
+        usage);
+  }
+  if (command == "audit") {
+    return cli::parse_flags(
+        n, args.data(), {"trace", "window", "policy", "memory-mib", "bid"},
+        usage);
+  }
+  if (command == "plan") {
+    return cli::parse_flags(n, args.data(), {"window-n", "q", "fpr"}, usage);
+  }
+  usage(argv[0]);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
   const std::string command = argv[1];
+  const auto flags = parse_command_flags(command, argc, argv);
   try {
-    const auto flags = parse_flags(argc, argv, argv[0]);
     if (command == "gen") return cmd_gen(flags);
     if (command == "detect") return cmd_detect(flags);
     if (command == "audit") return cmd_audit(flags);
-    if (command == "plan") return cmd_plan(flags);
-    usage(argv[0]);
+    return cmd_plan(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ppcguard %s: %s\n", command.c_str(), e.what());
     return 1;
