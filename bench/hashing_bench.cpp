@@ -101,9 +101,7 @@ void BM_IndicesBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kKeys));
 }
 BENCHMARK(BM_IndicesBatch)
-    ->ArgsProduct({{static_cast<int>(IndexStrategy::kDoubleHashing),
-                    static_cast<int>(IndexStrategy::kCacheLineBlocked)},
-                   {4, 7}});
+    ->ArgsProduct({{static_cast<int>(IndexStrategy::kDoubleHashing)}, {4, 7}});
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 // Sharded ingestion throughput: the trajectory bench for the parallel
 // batched hot path.
 //
-// Sweeps {1,2,3,4} threads × {1,4,16,64} shards × {GBF, blocked-GBF, TBF}
+// Sweeps {1,2,3,4} threads × {1,4,16,64} shards × {GBF, TBF}
 // over one Zipf click stream (heavy-tailed duplicates, like real ad
 // traffic) and measures two ingestion arms per configuration:
 //   * offer   — the legacy path: one virtual call + one mutex acquisition
@@ -58,23 +58,6 @@ core::ShardedDetector::Factory gbf_factory(std::size_t shards) {
     // Design-point fill (m ≈ 10·n for k=7), as in thm1_gbf_throughput.
     opts.bits_per_subfilter = 10 * (shard_window / kGbfQ);
     opts.hash_count = kHashes;
-    return std::make_unique<core::GroupBloomFilter>(
-        core::WindowSpec::jumping_count(shard_window, kGbfQ), opts);
-  };
-}
-
-/// Same geometry with cache-line-blocked probing: the alternative ingestion
-/// design point — k probes cost one cache line instead of k, trading ≈0.3pp
-/// of FPR (see hashing::IndexStrategy::kCacheLineBlocked). Its *baseline*
-/// speeds up too (fewer serialized misses per offer), so the batch-vs-offer
-/// ratio shrinks even as absolute throughput rises.
-core::ShardedDetector::Factory gbf_blocked_factory(std::size_t shards) {
-  const std::uint64_t shard_window = kGbfWindow / shards;
-  return [shard_window](std::size_t) {
-    core::GroupBloomFilter::Options opts;
-    opts.bits_per_subfilter = 10 * (shard_window / kGbfQ);
-    opts.hash_count = kHashes;
-    opts.strategy = hashing::IndexStrategy::kCacheLineBlocked;
     return std::make_unique<core::GroupBloomFilter>(
         core::WindowSpec::jumping_count(shard_window, kGbfQ), opts);
   };
@@ -155,9 +138,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.scaled(std::uint64_t{1} << 22));
   const auto ids = make_stream(stream_len);
 
-  const Algo algos[] = {{"gbf", &gbf_factory},
-                        {"gbfblk", &gbf_blocked_factory},
-                        {"tbf", &tbf_factory}};
+  const Algo algos[] = {{"gbf", &gbf_factory}, {"tbf", &tbf_factory}};
   const std::size_t shard_counts[] = {1, 4, 16, 64};
   std::vector<std::size_t> thread_counts = {1, 2, 3, 4};
   if (args.threads > 0) {

@@ -13,6 +13,7 @@
 //    not refresh the original click's position (Definition 1).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
@@ -198,7 +199,9 @@ class ExactTimeSlidingDetector final : public core::DuplicateDetector {
   }
 
   bool do_offer(core::ClickId id, std::uint64_t time_us) override {
-    const std::uint64_t unit = time_us / window_.time_unit_us;
+    // A stamp older than the clock is judged at the current unit.
+    now_unit_ = std::max(now_unit_, time_us / window_.time_unit_us);
+    const std::uint64_t unit = now_unit_;
     // Expire everything whose age in units is >= R.
     while (!items_.empty() &&
            unit - items_.front().unit >= window_units_) {
@@ -220,6 +223,7 @@ class ExactTimeSlidingDetector final : public core::DuplicateDetector {
   void reset() override {
     items_.clear();
     valid_counts_.clear();
+    now_unit_ = 0;
   }
 
  private:
@@ -238,6 +242,7 @@ class ExactTimeSlidingDetector final : public core::DuplicateDetector {
 
   core::WindowSpec window_;
   std::uint64_t window_units_ = 0;
+  std::uint64_t now_unit_ = 0;
   std::deque<Item> items_;
   std::unordered_map<core::ClickId, std::uint32_t> valid_counts_;
 };

@@ -41,8 +41,9 @@ class LandmarkBloomDetector final : public core::DuplicateDetector {
       }
       ++arrivals_;
     } else {
+      // A stamp older than the current epoch is judged in it.
       const std::uint64_t epoch = time_us / window_.length;
-      if (!started_ || epoch != epoch_) {
+      if (!started_ || epoch > epoch_) {
         if (started_) filter_.clear();
         epoch_ = epoch;
         started_ = true;

@@ -85,6 +85,9 @@ class SlicedBitMatrix {
     }
   }
 
+  /// Zeroes every slot at once.
+  void clear() noexcept { std::fill(words_.begin(), words_.end(), Word{0}); }
+
   /// Set-bit count for one slot (fill-factor diagnostics).
   std::size_t count_slot(std::size_t slot) const noexcept {
     assert(slot < slots_);

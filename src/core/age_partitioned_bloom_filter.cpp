@@ -58,16 +58,6 @@ AgePartitionedBloomFilter::AgePartitionedBloomFilter(WindowSpec window,
     throw std::invalid_argument(
         "AgePartitionedBloomFilter: bits_per_slice must be positive");
   }
-  if (opts.strategy == hashing::IndexStrategy::kCacheLineBlocked) {
-    // Blocked probing confines all k+l indices to one aligned 8-index
-    // block, but each index lands in a DIFFERENT slice here — the one-line
-    // property buys nothing and the correlated per-slice offsets inflate
-    // the FPR far past the analysis.
-    throw std::invalid_argument(
-        "AgePartitionedBloomFilter: kCacheLineBlocked derives one cache-line "
-        "block per key, which cannot feed k+l independent per-slice indices");
-  }
-
   if (window_.basis == WindowBasis::kCount) {
     // l generations of g arrivals must cover the last N arrivals.
     gen_span_ = ceil_div(window_.length, l_);
@@ -329,78 +319,55 @@ void AgePartitionedBloomFilter::save(std::ostream& out) const {
                         [this](std::ostream& ps) { write_state(ps); });
 }
 
-void AgePartitionedBloomFilter::read_header(std::istream& in,
-                                            WindowSpec& window, Options& opts) {
-  window = detail::read_window(in);
-  opts.bits_per_slice = detail::read_u64(in);
-  opts.consecutive = static_cast<std::size_t>(detail::read_u64(in));
-  opts.generations = static_cast<std::size_t>(detail::read_u64(in));
-  opts.strategy = static_cast<hashing::IndexStrategy>(detail::read_u64(in));
-  opts.seed = detail::read_u64(in);
-}
-
-void AgePartitionedBloomFilter::read_state(std::istream& in) {
-  const std::uint64_t youngest = detail::read_u64(in);
-  const std::uint64_t youngest_hash = detail::read_u64(in);
-  const std::uint64_t fill = detail::read_u64(in);
-  const std::uint64_t clean = detail::read_u64(in);
-  if (youngest >= slice_count() || youngest_hash >= hash_functions() ||
-      fill >= gen_span_ || clean > words_per_slice_) {
-    throw std::runtime_error("AgePartitionedBloomFilter: corrupt ring cursors");
-  }
-  youngest_ = static_cast<std::size_t>(youngest);
-  youngest_hash_ = static_cast<std::size_t>(youngest_hash);
-  fill_in_gen_ = fill;
-  clean_word_ = clean;
-  current_unit_ = detail::read_u64(in);
-  units_into_gen_ = detail::read_u64(in);
-  if (units_into_gen_ >= gen_span_) {
-    throw std::runtime_error("AgePartitionedBloomFilter: corrupt time cursor");
-  }
-  time_started_ = detail::read_u64(in) != 0;
-  auto words = detail::read_words(in);
-  if (words.size() != words_.size()) {
-    throw std::runtime_error(
-        "AgePartitionedBloomFilter: payload size does not match geometry");
-  }
-  words_ = std::move(words);
-}
-
 void AgePartitionedBloomFilter::restore(std::istream& in) {
   detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter",
                        [this](std::istream& body) {
-    WindowSpec window;
-    Options opts;
-    read_header(body, window, opts);
+    const WindowSpec window = detail::read_window(body);
+    const std::uint64_t m = detail::read_u64(body);
+    const std::uint64_t k = detail::read_u64(body);
+    const std::uint64_t l = detail::read_u64(body);
+    const std::uint64_t strategy = detail::read_u64(body);
+    const std::uint64_t seed = detail::read_u64(body);
     if (window != window_) {
       throw std::runtime_error(
           "AgePartitionedBloomFilter::restore: snapshot window [" +
           window.describe() + "] does not match this instance [" +
           window_.describe() + "]");
     }
-    if (opts.bits_per_slice != bits_per_slice_ || opts.consecutive != k_ ||
-        opts.generations != l_ || opts.strategy != family_.strategy() ||
-        opts.seed != family_.seed()) {
+    if (m != bits_per_slice_ || k != k_ || l != l_ ||
+        strategy != static_cast<std::uint64_t>(family_.strategy()) ||
+        seed != family_.seed()) {
       throw std::runtime_error(
           "AgePartitionedBloomFilter::restore: snapshot filter options "
           "(m/k/l/strategy/seed) do not match this instance");
     }
-    read_state(body);
+    const std::uint64_t youngest = detail::read_u64(body);
+    const std::uint64_t youngest_hash = detail::read_u64(body);
+    const std::uint64_t fill = detail::read_u64(body);
+    const std::uint64_t clean = detail::read_u64(body);
+    if (youngest >= slice_count() || youngest_hash >= hash_functions() ||
+        fill >= gen_span_ || clean > words_per_slice_) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter: corrupt ring cursors");
+    }
+    youngest_ = static_cast<std::size_t>(youngest);
+    youngest_hash_ = static_cast<std::size_t>(youngest_hash);
+    fill_in_gen_ = fill;
+    clean_word_ = clean;
+    current_unit_ = detail::read_u64(body);
+    units_into_gen_ = detail::read_u64(body);
+    if (units_into_gen_ >= gen_span_) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter: corrupt time cursor");
+    }
+    time_started_ = detail::read_u64(body) != 0;
+    auto words = detail::read_words(body);
+    if (words.size() != words_.size()) {
+      throw std::runtime_error(
+          "AgePartitionedBloomFilter: payload size does not match geometry");
+    }
+    words_ = std::move(words);
   });
-}
-
-std::unique_ptr<AgePartitionedBloomFilter> AgePartitionedBloomFilter::load(
-    std::istream& in) {
-  std::unique_ptr<AgePartitionedBloomFilter> apbf;
-  detail::read_section(in, detail::kApbfMagic, "AgePartitionedBloomFilter",
-                       [&apbf](std::istream& body) {
-    WindowSpec window;
-    Options opts;
-    read_header(body, window, opts);
-    apbf = std::make_unique<AgePartitionedBloomFilter>(window, opts);
-    apbf->read_state(body);
-  });
-  return apbf;
 }
 
 }  // namespace ppc::core

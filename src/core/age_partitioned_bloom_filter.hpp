@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "core/duplicate_detector.hpp"
@@ -74,9 +73,7 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
   /// @param window sliding window, count or time basis (the age-partitioned
   ///        design IS a sliding window; jumping/landmark windows belong to
   ///        GroupBloomFilter).
-  /// @throws std::invalid_argument on inconsistent window/options,
-  ///         including kCacheLineBlocked (one line per probe set cannot
-  ///         feed k + ℓ distinct per-slice functions).
+  /// @throws std::invalid_argument on inconsistent window/options.
   AgePartitionedBloomFilter(WindowSpec window, Options opts);
 
   bool do_offer(ClickId id, std::uint64_t time_us) override;
@@ -128,10 +125,6 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
   /// @throws std::runtime_error on corrupt or mismatched input.
   void restore(std::istream& in) override;
 
-  /// Restores a detector saved by save(). @throws std::runtime_error on a
-  /// corrupt or incompatible snapshot.
-  static std::unique_ptr<AgePartitionedBloomFilter> load(std::istream& in);
-
  private:
   using Word = std::uint64_t;
   static constexpr std::size_t kWordBits = 64;
@@ -168,8 +161,6 @@ class AgePartitionedBloomFilter final : public DuplicateDetector {
                         std::span<bool> out);
 
   void write_state(std::ostream& out) const;
-  void read_state(std::istream& in);
-  static void read_header(std::istream& in, WindowSpec& window, Options& opts);
 
   WindowSpec window_;
   std::uint64_t bits_per_slice_;   // m

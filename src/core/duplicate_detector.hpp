@@ -38,9 +38,12 @@ class DuplicateDetector {
   /// Processes one arrival. Returns true iff `id` duplicates a valid click
   /// in the current window; otherwise the click becomes valid.
   ///
-  /// `time_us` is the click's (monotone non-decreasing) timestamp; count-
-  /// based detectors ignore it. Time-based detectors use it to advance and
-  /// expire window state before classifying the click.
+  /// `time_us` is the click's timestamp; count-based detectors ignore it.
+  /// Time-based detectors use it to advance and expire window state before
+  /// classifying the click. Their clock never moves back: a stamp older
+  /// than the clock (clicks of different connections interleave at a
+  /// server sink) is judged at the current unit, exactly as if it carried
+  /// that unit's stamp.
   bool offer(ClickId id, std::uint64_t time_us = 0) {
     return do_offer(id, time_us);
   }
@@ -48,10 +51,10 @@ class DuplicateDetector {
   /// The batch entry point: processes a micro-batch in arrival order with
   /// PER-CLICK timestamps, writing the verdict for `ids[i]` to `out[i]`.
   /// Verdict-for-verdict identical to `offer(ids[i], times[i])` in a loop
-  /// (times.size() ≥ ids.size() and out.size() ≥ ids.size(); times are
-  /// monotone non-decreasing like offer()'s, and count-based detectors
-  /// ignore them). Detectors override it to pipeline hash computation and
-  /// memory prefetch across elements.
+  /// (times.size() ≥ ids.size() and out.size() ≥ ids.size(); count-based
+  /// detectors ignore the times, and a stale one is judged at the current
+  /// unit as in offer()). Detectors override it to pipeline hash
+  /// computation and memory prefetch across elements.
   virtual void offer_batch(std::span<const ClickId> ids,
                            std::span<const std::uint64_t> times,
                            std::span<bool> out) {

@@ -51,7 +51,7 @@ GroupBloomFilter::GroupBloomFilter(WindowSpec window, Options opts)
 }
 
 void GroupBloomFilter::reset() {
-  matrix_ = bits::SlicedBitMatrix(bits_per_subfilter_, subwindows_ + 1);
+  matrix_.clear();
   current_ = 0;
   cleaning_ = 1;
   clean_row_ = 0;
@@ -88,8 +88,34 @@ void GroupBloomFilter::advance_time(std::uint64_t time_us) {
     time_started_ = true;
     return;
   }
+  // A stamp older than the clock is judged at the current unit.
+  if (unit <= current_unit_) return;
+  const std::uint64_t delta = unit - current_unit_;
+  const std::uint64_t R = units_per_subwindow_;
+  const std::uint64_t slots = subwindows_ + 1;
+  // Sub-window jumps the per-unit walk would make (overflow-safe form of
+  // (units_into_subwindow_ + delta) / R).
+  const std::uint64_t jumps =
+      delta / R + (units_into_subwindow_ + delta % R) / R;
+  if (jumps >= slots) {
+    // Q+1 jumps with no arrivals: every slot was zeroed after its last
+    // insert, so one flat clear plus closed-form cursor arithmetic gives
+    // the walk's exact end state at O(m·(Q+1)) cost, whatever the gap.
+    matrix_.clear();
+    if (ops_ != nullptr) ops_->word_writes += matrix_.raw_words().size();
+    current_ = static_cast<std::size_t>((current_ + jumps % slots) % slots);
+    cleaning_ = static_cast<std::size_t>((cleaning_ + jumps % slots) % slots);
+    units_into_subwindow_ = (units_into_subwindow_ + delta % R) % R;
+    clean_row_ = units_into_subwindow_ >= bits_per_subfilter_
+                     ? bits_per_subfilter_
+                     : std::min<std::uint64_t>(
+                           units_into_subwindow_ * clean_stride_,
+                           bits_per_subfilter_);
+    current_unit_ = unit;
+    return;
+  }
   // One cleaning step per elapsed time unit; a sub-window jump every R
-  // units. Long idle gaps simply run the loop until state catches up.
+  // units.
   while (current_unit_ < unit) {
     clean_step(clean_stride_);
     ++current_unit_;
@@ -177,12 +203,8 @@ void GroupBloomFilter::offer_batch_count(std::span<const ClickId> ids,
   // inserts into the very rows it probed.
   const std::size_t k = family_.k();
   const std::size_t n = ids.size();
-  // Blocked probing confines all k rows to one cache line — one prefetch
-  // covers the whole probe set.
-  const std::size_t prefetches =
-      family_.strategy() == hashing::IndexStrategy::kCacheLineBlocked ? 1 : k;
   const auto prefetch_rows = [&](const std::uint64_t* r) {
-    for (std::size_t h = 0; h < prefetches; ++h) {
+    for (std::size_t h = 0; h < k; ++h) {
       matrix_.prefetch_row_write(static_cast<std::size_t>(r[h]));
     }
   };
@@ -254,10 +276,8 @@ void GroupBloomFilter::offer_batch_time(std::span<const ClickId> ids,
   // advance_time interleave and verdicts match a sequential replay
   // exactly.
   const std::size_t k = family_.k();
-  const std::size_t prefetches =
-      family_.strategy() == hashing::IndexStrategy::kCacheLineBlocked ? 1 : k;
   const auto prefetch_rows = [&](const std::uint64_t* r) {
-    for (std::size_t h = 0; h < prefetches; ++h) {
+    for (std::size_t h = 0; h < k; ++h) {
       matrix_.prefetch_row_write(static_cast<std::size_t>(r[h]));
     }
   };
@@ -293,17 +313,25 @@ void GroupBloomFilter::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("GroupBloomFilter::save: write failed");
 }
 
-void GroupBloomFilter::read_header(std::istream& in, WindowSpec& window,
-                                   Options& opts) {
+void GroupBloomFilter::restore(std::istream& in) {
   detail::expect_magic(in, kGbfMagic, "GroupBloomFilter");
-  window = detail::read_window(in);
-  opts.bits_per_subfilter = detail::read_u64(in);
-  opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
-  opts.strategy = static_cast<hashing::IndexStrategy>(detail::read_u64(in));
-  opts.seed = detail::read_u64(in);
-}
-
-void GroupBloomFilter::read_state(std::istream& in) {
+  const WindowSpec window = detail::read_window(in);
+  const std::uint64_t m = detail::read_u64(in);
+  const std::uint64_t k = detail::read_u64(in);
+  const std::uint64_t strategy = detail::read_u64(in);
+  const std::uint64_t seed = detail::read_u64(in);
+  if (window != window_) {
+    throw std::runtime_error(
+        "GroupBloomFilter::restore: snapshot window [" + window.describe() +
+        "] does not match this instance [" + window_.describe() + "]");
+  }
+  if (m != bits_per_subfilter_ || k != family_.k() ||
+      strategy != static_cast<std::uint64_t>(family_.strategy()) ||
+      seed != family_.seed()) {
+    throw std::runtime_error(
+        "GroupBloomFilter::restore: snapshot filter options (m/k/strategy/"
+        "seed) do not match this instance");
+  }
   const std::uint64_t current = detail::read_u64(in);
   const std::uint64_t cleaning = detail::read_u64(in);
   if (current > subwindows_ || cleaning > subwindows_) {
@@ -318,34 +346,6 @@ void GroupBloomFilter::read_state(std::istream& in) {
   time_started_ = detail::read_u64(in) != 0;
   const auto words = detail::read_words(in);
   matrix_.set_raw_words(words);
-}
-
-void GroupBloomFilter::restore(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  if (window != window_) {
-    throw std::runtime_error(
-        "GroupBloomFilter::restore: snapshot window [" + window.describe() +
-        "] does not match this instance [" + window_.describe() + "]");
-  }
-  if (opts.bits_per_subfilter != bits_per_subfilter_ ||
-      opts.hash_count != family_.k() || opts.strategy != family_.strategy() ||
-      opts.seed != family_.seed()) {
-    throw std::runtime_error(
-        "GroupBloomFilter::restore: snapshot filter options (m/k/strategy/"
-        "seed) do not match this instance");
-  }
-  read_state(in);
-}
-
-std::unique_ptr<GroupBloomFilter> GroupBloomFilter::load(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  auto gbf = std::make_unique<GroupBloomFilter>(window, opts);
-  gbf->read_state(in);
-  return gbf;
 }
 
 }  // namespace ppc::core

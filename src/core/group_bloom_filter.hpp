@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 
 #include "bits/sliced_bit_matrix.hpp"
 #include "core/duplicate_detector.hpp"
@@ -83,10 +82,6 @@ class GroupBloomFilter final : public DuplicateDetector {
   /// @throws std::runtime_error on corrupt or mismatched input.
   void restore(std::istream& in) override;
 
-  /// Restores a detector saved by save(). @throws std::runtime_error on a
-  /// corrupt or incompatible snapshot.
-  static std::unique_ptr<GroupBloomFilter> load(std::istream& in);
-
   /// Diagnostics: fill factor of the slot currently receiving inserts.
   double current_slot_fill() const {
     return static_cast<double>(matrix_.count_slot(current_)) /
@@ -94,9 +89,6 @@ class GroupBloomFilter final : public DuplicateDetector {
   }
 
  private:
-  void read_state(std::istream& in);
-  static void read_header(std::istream& in, WindowSpec& window, Options& opts);
-
   void clean_step(std::uint64_t rows);
   void jump();
   void advance_time(std::uint64_t time_us);

@@ -87,14 +87,6 @@ TimingBloomFilter::TimingBloomFilter(WindowSpec window, Options opts)
   if (opts.entries == 0) {
     throw std::invalid_argument("TimingBloomFilter: entries must be positive");
   }
-  if (opts.strategy == hashing::IndexStrategy::kCacheLineBlocked) {
-    // Every key stamps k of its block's 8 entries (all 8 at k = 8), so any
-    // later key hashing into a freshly stamped block reads as an in-window
-    // duplicate: the FPR runs far past the Theorem 2 analysis.
-    throw std::invalid_argument(
-        "TimingBloomFilter: kCacheLineBlocked confines a key's k timestamps "
-        "to one 8-entry block, so keys sharing a block read as duplicates");
-  }
   const Geometry g = resolve_geometry(window_, opts.c);
   window_ticks_ = g.window_ticks;
   granularity_ = g.granularity;
@@ -151,9 +143,8 @@ void TimingBloomFilter::advance_time(std::uint64_t time_us) {
     pos_ = abs_unit % wrap_;
     return;
   }
-  if (abs_unit < last_abs_unit_) {
-    throw std::invalid_argument("TimingBloomFilter: time went backwards");
-  }
+  // A stamp older than the clock is judged at the current unit.
+  if (abs_unit <= last_abs_unit_) return;
   std::uint64_t delta = abs_unit - last_abs_unit_;
   last_abs_unit_ = abs_unit;
 
@@ -284,18 +275,26 @@ void TimingBloomFilter::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("TimingBloomFilter::save: write failed");
 }
 
-void TimingBloomFilter::read_header(std::istream& in, WindowSpec& window,
-                                    Options& opts) {
+void TimingBloomFilter::restore(std::istream& in) {
   detail::expect_magic(in, kTbfMagic, "TimingBloomFilter");
-  window = detail::read_window(in);
-  opts.entries = detail::read_u64(in);
-  opts.hash_count = static_cast<std::size_t>(detail::read_u64(in));
-  opts.c = detail::read_u64(in);
-  opts.strategy = static_cast<hashing::IndexStrategy>(detail::read_u64(in));
-  opts.seed = detail::read_u64(in);
-}
-
-void TimingBloomFilter::read_state(std::istream& in) {
+  const WindowSpec window = detail::read_window(in);
+  const std::uint64_t entries = detail::read_u64(in);
+  const std::uint64_t k = detail::read_u64(in);
+  const std::uint64_t c = detail::read_u64(in);
+  const std::uint64_t strategy = detail::read_u64(in);
+  const std::uint64_t seed = detail::read_u64(in);
+  if (window != window_) {
+    throw std::runtime_error(
+        "TimingBloomFilter::restore: snapshot window [" + window.describe() +
+        "] does not match this instance [" + window_.describe() + "]");
+  }
+  if (entries != table_.size() || k != family_.k() || c != c_ ||
+      strategy != static_cast<std::uint64_t>(family_.strategy()) ||
+      seed != family_.seed()) {
+    throw std::runtime_error(
+        "TimingBloomFilter::restore: snapshot filter options (m/k/C/strategy/"
+        "seed) do not match this instance");
+  }
   const std::uint64_t pos = detail::read_u64(in);
   const std::uint64_t arrivals = detail::read_u64(in);
   const std::uint64_t scan = detail::read_u64(in);
@@ -309,34 +308,6 @@ void TimingBloomFilter::read_state(std::istream& in) {
   started_ = detail::read_u64(in) != 0;
   const auto words = detail::read_words(in);
   table_.set_raw_words(words);
-}
-
-void TimingBloomFilter::restore(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  if (window != window_) {
-    throw std::runtime_error(
-        "TimingBloomFilter::restore: snapshot window [" + window.describe() +
-        "] does not match this instance [" + window_.describe() + "]");
-  }
-  if (opts.entries != table_.size() || opts.hash_count != family_.k() ||
-      opts.c != c_ || opts.strategy != family_.strategy() ||
-      opts.seed != family_.seed()) {
-    throw std::runtime_error(
-        "TimingBloomFilter::restore: snapshot filter options (m/k/C/strategy/"
-        "seed) do not match this instance");
-  }
-  read_state(in);
-}
-
-std::unique_ptr<TimingBloomFilter> TimingBloomFilter::load(std::istream& in) {
-  WindowSpec window;
-  Options opts;
-  read_header(in, window, opts);
-  auto tbf = std::make_unique<TimingBloomFilter>(window, opts);
-  tbf->read_state(in);
-  return tbf;
 }
 
 }  // namespace ppc::core

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 
 #include "bits/packed_int_vector.hpp"
 #include "core/duplicate_detector.hpp"
@@ -48,8 +47,6 @@ class TimingBloomFilter final : public DuplicateDetector {
     /// default C = window_ticks - 1 (clamped to ≥ 1). Larger C trades
     /// entry bits for a cheaper per-element cleaning scan.
     std::uint64_t c = 0;
-    /// Any strategy except kCacheLineBlocked (refused: see the
-    /// constructor).
     hashing::IndexStrategy strategy = hashing::IndexStrategy::kDoubleHashing;
     std::uint64_t seed = 0;
   };
@@ -111,10 +108,6 @@ class TimingBloomFilter final : public DuplicateDetector {
   /// @throws std::runtime_error on corrupt or mismatched input.
   void restore(std::istream& in) override;
 
-  /// Restores a detector saved by save(). @throws std::runtime_error on a
-  /// corrupt or incompatible snapshot.
-  static std::unique_ptr<TimingBloomFilter> load(std::istream& in);
-
  private:
   static constexpr std::uint64_t kNoTick = ~std::uint64_t{0};
 
@@ -126,9 +119,6 @@ class TimingBloomFilter final : public DuplicateDetector {
         pos_ >= entry_value ? pos_ - entry_value : pos_ - entry_value + wrap_;
     return age < window_ticks_;
   }
-
-  void read_state(std::istream& in);
-  static void read_header(std::istream& in, WindowSpec& window, Options& opts);
 
   void clean_entries(std::uint64_t count);
   void advance_tick();

@@ -169,14 +169,17 @@ Tier ReputationLedger::observe(std::uint32_t source_ip,
     // once the source produced at least one duplicate.
     if (!duplicate) return Tier::kClean;
     if (sources_.size() >= policy_.max_sources) {
-      // Reclaim the least-incriminated clean record; if every record is
-      // flagged or worse, the ledger is genuinely full — drop the
-      // admission (counted) rather than evict standing evidence.
+      // Reclaim the least-incriminated clean record, the lowest (score,
+      // key), so the choice does not depend on hash-map iteration order
+      // and a restored ledger evicts what the original would. If every
+      // record is flagged or worse, the ledger is genuinely full — drop
+      // the admission (counted) rather than evict standing evidence.
       auto victim = sources_.end();
       for (auto cand = sources_.begin(); cand != sources_.end(); ++cand) {
         if (cand->second.tier != Tier::kClean) continue;
         if (victim == sources_.end() ||
-            cand->second.score < victim->second.score) {
+            std::pair(cand->second.score, cand->first) <
+                std::pair(victim->second.score, victim->first)) {
           victim = cand;
         }
       }

@@ -19,21 +19,6 @@ IndexFamily::IndexFamily(std::size_t k, std::uint64_t range,
     tab1_ = std::make_unique<TabulationHash64>(seed);
     tab2_ = std::make_unique<TabulationHash64>(fmix64(seed + 1));
   }
-  if (strategy == IndexStrategy::kCacheLineBlocked) {
-    if (range < 8) {
-      throw std::invalid_argument(
-          "IndexFamily: cache-line-blocked probing needs range >= 8");
-    }
-    if (k > 8) {
-      throw std::invalid_argument(
-          "IndexFamily: cache-line-blocked probing supports k <= 8 (one "
-          "block holds 8 indices)");
-    }
-    // Blocked probing can only reach whole 8-index blocks; round the range
-    // down so range() reports the bits the filter can actually use (the
-    // header documents this contract).
-    range_ = range / 8 * 8;
-  }
 }
 
 void IndexFamily::fill_independent(Bytes key,
@@ -49,9 +34,6 @@ void IndexFamily::indices(Bytes key, std::span<std::uint64_t> out) const noexcep
   switch (strategy_) {
     case IndexStrategy::kDoubleHashing:
       fill_double_hashing(murmur3_x64_128(key, seed_), out);
-      return;
-    case IndexStrategy::kCacheLineBlocked:
-      fill_blocked(murmur3_x64_128(key, seed_), out);
       return;
     case IndexStrategy::kIndependentHashes:
       fill_independent(key, out);

@@ -35,15 +35,6 @@ enum class IndexStrategy {
   /// Double hashing over two seeded tabulation hashes (3-independent family;
   /// only meaningful for 64-bit keys, byte keys are pre-compressed).
   kTabulation,
-  /// Cache-line-blocked probing (Putze et al.'s blocked Bloom filter,
-  /// RocksDB-style): h1 picks one aligned block of 8 consecutive indices —
-  /// one 64-byte line in a word-per-index filter — and h2 double-hashes
-  /// *within* the block with an odd step, so all k ≤ 8 probes are distinct
-  /// and land on the same line. Turns k cache misses per key into one, at
-  /// the cost of a slightly higher false-positive rate from per-block load
-  /// variance (≈ +0.2–0.5 pp at the m/n = 10, k = 7 design point). Requires
-  /// range ≥ 8 and k ≤ 8.
-  kCacheLineBlocked,
 };
 
 /// Produces k indices in [0, range) for a key. Immutable after construction;
@@ -52,12 +43,6 @@ class IndexFamily {
  public:
   /// @param k      number of indices per key, in [1, kMaxHashFunctions].
   /// @param range  exclusive upper bound of produced indices; must be > 0.
-  ///               kCacheLineBlocked probes whole aligned 8-index blocks,
-  ///               so a range that is not a multiple of 8 is rounded DOWN
-  ///               to one (range() reports the rounded value) — otherwise
-  ///               the trailing range%8 indices would be silently
-  ///               unreachable and the effective filter smaller than the m
-  ///               every FPR formula was fed.
   /// @param strategy index-derivation strategy (see IndexStrategy).
   /// @param seed   salts the whole family; two families with different seeds
   ///               behave as unrelated hash functions.
@@ -94,12 +79,6 @@ class IndexFamily {
         fill_double_hashing(
             Hash128{(*tab1_)(key ^ seed_), (*tab2_)(key ^ seed_)}, out);
         return;
-      case IndexStrategy::kCacheLineBlocked: {
-        const std::uint64_t h1 = fmix64(key ^ seed_);
-        const std::uint64_t h2 = fmix64(h1 ^ 0xc4ceb9fe1a85ec53ULL);
-        fill_blocked(Hash128{h1, h2}, out);
-        return;
-      }
     }
   }
 
@@ -139,21 +118,6 @@ class IndexFamily {
     for (std::size_t i = 0; i < k_; ++i) {
       out[i] = fast_range(acc, range_);
       acc += step;
-    }
-  }
-
-  void fill_blocked(Hash128 h, std::span<std::uint64_t> out) const noexcept {
-    assert(out.size() >= k_);
-    // h1 picks the aligned 8-index block (the cache line); h2 supplies a
-    // base offset and an odd step, so the k ≤ 8 in-block probes are all
-    // distinct (an odd step generates Z/8) and the probe set costs one
-    // line.
-    const std::uint64_t base = fast_range(h.lo, range_ / 8) * 8;
-    std::uint64_t off = h.hi & 7;
-    const std::uint64_t step = h.hi >> 3 | 1;
-    for (std::size_t i = 0; i < k_; ++i) {
-      out[i] = base + off;
-      off = (off + step) & 7;
     }
   }
 

@@ -20,12 +20,13 @@
 // suite in tests/replication_test.cpp proves drain snapshots stay
 // byte-identical across all of them.
 //
-// Batch boundaries carry no meaning: every sink in the serving stack is a
-// per-click state machine (tiered epoch maintenance and enforcement
-// decisions happen inside the per-click loops), so replicated state
-// depends only on the total click order, never on how the primary's
-// flushes happened to chunk it. The ring is therefore free to split
-// flushed batches at arbitrary <= kMaxClicksPerBatch boundaries.
+// Offer boundaries are part of the stream: EnforcingSink decides a whole
+// batch before it observes any of its verdicts, so its state depends on
+// how the clicks were chunked into sink calls, not only on their order.
+// The ring therefore keeps them: the primary offers in the same
+// <= kMaxClicksPerBatch chunks it appends (IngestServer), one ring entry
+// is one primary offer call, and the applier replays each entry as one
+// sink call.
 #pragma once
 
 #include <atomic>

@@ -357,5 +357,26 @@ TEST(LandmarkBloom, TimeBasisForgetsAtEpoch) {
   EXPECT_FALSE(d.offer(5, 1'100'000));  // next epoch
 }
 
+TEST(StaleStamp, TimeBaselinesJudgeItAtTheCurrentUnit) {
+  // A click stamped older than the clock must not rewind or wipe the
+  // window (DuplicateDetector's stale-stamp rule).
+  ExactTimeSlidingDetector exact(
+      core::WindowSpec::sliding_time(1'000'000, 1'000));
+  EXPECT_FALSE(exact.offer(7, 5'000'000));
+  EXPECT_FALSE(exact.offer(8, 1'000'000));
+  EXPECT_TRUE(exact.offer(8, 5'000'000));
+  EXPECT_TRUE(exact.offer(7, 5'001'000));
+
+  LandmarkBloomDetector::Options opts;
+  opts.bits = 1 << 14;
+  core::WindowSpec w{core::WindowKind::kLandmark, core::WindowBasis::kTime,
+                     1'000'000, 1, 1'000};
+  LandmarkBloomDetector landmark(w, opts);
+  EXPECT_FALSE(landmark.offer(5, 1'100'000));
+  EXPECT_FALSE(landmark.offer(6, 500'000));
+  EXPECT_TRUE(landmark.offer(6, 1'150'000));
+  EXPECT_TRUE(landmark.offer(5, 1'200'000));
+}
+
 }  // namespace
 }  // namespace ppc::baseline

@@ -94,6 +94,19 @@ TEST(Cli, MalformedNumberIsRefused) {
       << r.output;
 }
 
+TEST(Cli, UnknownPolicyOrKindIsRefused) {
+  const auto policy = run("detect --trace=/nonexistent --policy=bogus");
+  EXPECT_EQ(policy.exit_code, 2);
+  EXPECT_NE(policy.output.find("invalid value for --policy: 'bogus'"),
+            std::string::npos)
+      << policy.output;
+  const auto kind = run("gen --out=/nonexistent/x --kind=bogus");
+  EXPECT_EQ(kind.exit_code, 2);
+  EXPECT_NE(kind.output.find("invalid value for --kind: 'bogus'"),
+            std::string::npos)
+      << kind.output;
+}
+
 TEST(Cli, UnknownFlagIsRefused) {
   const auto r = run("plan --windw=16");
   EXPECT_EQ(r.exit_code, 2);

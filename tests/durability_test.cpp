@@ -224,7 +224,9 @@ TEST(TbfWraparoundDurability, StaleScanReclaimsExpiredEntriesAfterRestore) {
     }
     std::stringstream buffer;
     live.save(buffer);
-    auto resumed = core::TimingBloomFilter::load(buffer);
+    auto resumed = std::make_unique<core::TimingBloomFilter>(
+        WindowSpec::sliding_count(64), wrap_tbf_opts());
+    resumed->restore(buffer);
 
     // 70 fresh arrivals push pos_ through the wrap; ids 1..20 now have
     // ages well past wrap_ — exactly the aliasing regime.
@@ -764,6 +766,23 @@ TEST(PpcdCli, TieredOnlyFlagsNeedTieredSink) {
                 std::string::npos)
           << r.output;
     }
+  }
+}
+
+TEST(PpcdCli, MalformedPortIsRefused) {
+  // A port above 65535 must not wrap into another port (70000 served on
+  // 4464), and a partly numeric one must not truncate.
+  for (const std::string bad :
+       {"listen=127.0.0.1:70000", "listen=127.0.0.1:4x", "listen=127.0.0.1",
+        "follow=127.0.0.1:65536", "replicate-listen=127.0.0.1:-1"}) {
+    const std::string key = bad.substr(0, bad.find('='));
+    const std::string listen =
+        key == "listen" ? "" : " --listen=127.0.0.1:0";
+    const auto r = run_cmd("timeout 10 " + ppcd_bin() + " --sink=sharded" +
+                           listen + " --" + bad);
+    EXPECT_EQ(r.exit_code, 2) << bad;
+    EXPECT_NE(r.output.find("invalid value for --" + key), std::string::npos)
+        << r.output;
   }
 }
 

@@ -546,6 +546,32 @@ TEST(LedgerSnapshot, RoundTripIsExactAndExportsAreBitIdentical) {
   EXPECT_EQ(second.records().size(), a.size());
 }
 
+TEST(LedgerSnapshot, RestoreAtTheCapEvictsWhatTheOriginalWould) {
+  // Every one-duplicate source stores the same undecayed score, so cap
+  // evictions are all ties. The victim must not depend on hash-map
+  // iteration order, or a ledger restored mid-stream (a follower after
+  // catch-up, ppcd after --restore) silently diverges from the original.
+  EnforcementPolicy p = test_policy();
+  p.max_sources = 64;
+  ReputationLedger original(p);
+  std::uint64_t t = 0;
+  for (std::uint32_t s = 0; s < 64; ++s) {
+    original.observe(0x16000000 + s * 7919, 0, true, t += 100);
+  }
+  ASSERT_EQ(original.size(), 64u);
+
+  ReputationLedger restored(p);
+  std::istringstream in(saved_bytes(original), std::ios::binary);
+  restored.restore(in);
+  for (std::uint32_t s = 0; s < 64; ++s) {
+    const std::uint32_t ip = 0x17000000 + s * 104729;
+    original.observe(ip, 0, true, t += 100);
+    restored.observe(ip, 0, true, t);
+  }
+  EXPECT_EQ(original.size(), 64u);
+  EXPECT_EQ(saved_bytes(original), saved_bytes(restored));
+}
+
 TEST(LedgerSnapshot, EveryTruncationRejected) {
   const std::string bytes = saved_bytes(populated_ledger());
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {

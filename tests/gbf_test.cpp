@@ -3,7 +3,10 @@
 // false-negative property against exact ground truth.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "baseline/exact_detectors.hpp"
 #include "core/group_bloom_filter.hpp"
@@ -138,6 +141,58 @@ TEST(GbfTimeBased, RejectsIndivisibleSubwindowSpan) {
                100'000};
   // 1s/3 is not a multiple of 100ms.
   EXPECT_THROW(GroupBloomFilter(w, small_opts()), std::invalid_argument);
+}
+
+std::string saved(const GroupBloomFilter& gbf) {
+  std::ostringstream out(std::ios::binary);
+  gbf.save(out);
+  return out.str();
+}
+
+TEST(GbfTimeGap, ClosedFormCatchUpMatchesUnitLoop) {
+  // Two identical filters: one sees a single far-future click, the other
+  // is walked there in sub-unit steps, its last step shorter than Q+1
+  // sub-windows, so it takes the per-unit loop. The walker's 0xf00d
+  // inserts are the only state difference, and they expire during the
+  // post-gap traffic below.
+  constexpr std::uint64_t kUnitUs = 1'000;
+  const auto w = WindowSpec::jumping_time(64 * kUnitUs, 4, kUnitUs);  // R=16
+  GroupBloomFilter jump(w, small_opts(1u << 12));
+  GroupBloomFilter walk(w, small_opts(1u << 12));
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    jump.offer(i, 1'000'000 + i * 37);
+    walk.offer(i, 1'000'000 + i * 37);
+  }
+  const std::uint64_t target = 1'000'000 + 503 * kUnitUs;  // 31 jumps out
+  for (std::uint64_t t = 1'000'000; t < target - 40 * kUnitUs;
+       t += kUnitUs / 2) {
+    walk.offer(0xf00d, t);
+  }
+  // 160 units of identical traffic after the gap: every slot jumps at
+  // least once more, so the saved states match only if the closed form
+  // left the slot ring, the sub-window phase and the clock where the walk
+  // did.
+  for (std::uint64_t i = 0; i < 320; ++i) {
+    const ClickId id = 7'000 + i % 60;
+    const std::uint64_t t = target + i * kUnitUs / 2;
+    ASSERT_EQ(jump.offer(id, t), walk.offer(id, t)) << i;
+  }
+  EXPECT_EQ(saved(jump), saved(walk));
+}
+
+TEST(GbfTimeGap, MultiHourGapReturnsWithinAFixedBound) {
+  // ppcd's time windows: 1 s in 8 sub-windows of 1 ms units. Walking a
+  // 6-hour gap unit by unit clears a whole slot at each of its 172,800
+  // sub-window jumps; the closed form clears the matrix once.
+  const auto w = WindowSpec::jumping_time(1'000'000, 8, 1'000);
+  GroupBloomFilter gbf(w, small_opts(1u << 17, 7));
+  EXPECT_FALSE(gbf.offer(1, 1'000'000));
+  const std::uint64_t later = 1'000'000 + 6ull * 3600 * 1'000'000;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(gbf.offer(1, later));
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_TRUE(gbf.offer(1, later + 1));
 }
 
 // --------------------------------------------------- property: zero FN

@@ -193,14 +193,12 @@ TEST_P(IndexFamilyStrategyTest, DifferentSeedsDecorrelate) {
 TEST(IndexFamily, BatchMatchesPerKeyForEveryStrategyKRangeSeed) {
   stream::Rng rng(77);
   const IndexStrategy strategies[] = {
-      IndexStrategy::kDoubleHashing, IndexStrategy::kCacheLineBlocked,
-      IndexStrategy::kIndependentHashes, IndexStrategy::kTabulation};
+      IndexStrategy::kDoubleHashing, IndexStrategy::kIndependentHashes,
+      IndexStrategy::kTabulation};
   for (const IndexStrategy strategy : strategies) {
     for (int trial = 0; trial < 12; ++trial) {
-      // Blocked probing caps k at 8; sweep wider for the others. Ranges mix
-      // powers of two, odd values and non-multiples of 8.
-      const bool blocked = strategy == IndexStrategy::kCacheLineBlocked;
-      const std::size_t k = 1 + rng.below(blocked ? 8 : 13);
+      // Ranges mix powers of two, odd values and non-multiples of 8.
+      const std::size_t k = 1 + rng.below(13);
       // Every third trial uses a > 2^32 range so the wide-multiply arm of
       // the Lemire reduction is pinned too, not just the narrow fast path.
       const std::uint64_t range =
@@ -232,81 +230,7 @@ TEST(IndexFamily, BatchMatchesPerKeyForEveryStrategyKRangeSeed) {
 INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexFamilyStrategyTest,
                          ::testing::Values(IndexStrategy::kDoubleHashing,
                                            IndexStrategy::kIndependentHashes,
-                                           IndexStrategy::kTabulation,
-                                           IndexStrategy::kCacheLineBlocked));
-
-// ------------------------------------------- cache-line-blocked probing
-
-TEST(CacheLineBlocked, RejectsUnsupportedGeometry) {
-  EXPECT_THROW(IndexFamily(4, 7, IndexStrategy::kCacheLineBlocked),
-               std::invalid_argument);  // range < one block
-  EXPECT_THROW(IndexFamily(9, 1024, IndexStrategy::kCacheLineBlocked),
-               std::invalid_argument);  // k > block capacity
-}
-
-TEST(CacheLineBlocked, ProbesAreDistinctAndConfinedToOneAlignedBlock) {
-  constexpr std::size_t kK = 7;
-  IndexFamily family(kK, 1u << 16, IndexStrategy::kCacheLineBlocked, 3);
-  for (std::uint64_t key = 0; key < 5'000; ++key) {
-    std::uint64_t idx[kK];
-    family.indices(key, std::span<std::uint64_t>(idx, kK));
-    const std::uint64_t block = idx[0] / 8;
-    std::set<std::uint64_t> distinct;
-    for (std::uint64_t v : idx) {
-      EXPECT_EQ(v / 8, block) << "probe escaped its cache-line block";
-      distinct.insert(v);
-    }
-    EXPECT_EQ(distinct.size(), kK) << "in-block probes collided";
-  }
-}
-
-TEST(CacheLineBlocked, ByteAndU64KeysBothStayInRange) {
-  // Range deliberately NOT a multiple of 8: the last partial block must
-  // never be probed.
-  constexpr std::uint64_t kRange = 1003;
-  IndexFamily family(8, kRange, IndexStrategy::kCacheLineBlocked, 9);
-  for (std::uint64_t key = 0; key < 2'000; ++key) {
-    std::uint64_t idx[8];
-    family.indices(key, std::span<std::uint64_t>(idx, 8));
-    for (std::uint64_t v : idx) EXPECT_LT(v, kRange / 8 * 8);
-    const auto via_bytes = family.indices(as_bytes(key));
-    for (std::uint64_t v : via_bytes) EXPECT_LT(v, kRange / 8 * 8);
-  }
-}
-
-TEST(BlockedRounding, NonMultipleOf8RangesRoundDownAndStayUniform) {
-  stream::Rng rng(99);
-  // Sweep every range residue mod 8 plus a larger irregular range: the
-  // constructor must round down, every produced index must stay inside the
-  // rounded range, and every 8-index block must be reachable (stranding
-  // the trailing range%8 indices would skew what the FPR formulas call m).
-  const std::uint64_t ranges[] = {9,  10, 11, 12, 13, 14,  15,  16,
-                                  17, 23, 33, 77, 97, 250, 1003};
-  for (const std::uint64_t raw : ranges) {
-    const IndexFamily family(5, raw, IndexStrategy::kCacheLineBlocked, 11);
-    const std::uint64_t rounded = raw / 8 * 8;
-    ASSERT_EQ(family.range(), rounded) << "raw range " << raw;
-
-    const std::uint64_t blocks = rounded / 8;
-    std::vector<std::uint32_t> block_hits(blocks, 0);
-    std::uint64_t idx[8];
-    const std::size_t samples = 512 * blocks;
-    for (std::size_t i = 0; i < samples; ++i) {
-      family.indices(rng.next(), std::span<std::uint64_t>(idx, 5));
-      for (std::size_t j = 0; j < 5; ++j) {
-        ASSERT_LT(idx[j], rounded) << "raw range " << raw;
-        ++block_hits[idx[j] / 8];
-      }
-    }
-    // Uniformity: with 512·k expected hits per block, an untouched (or
-    // wildly hot) block means the reduction is biased or unreachable.
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      ASSERT_GT(block_hits[b], 0u) << "unreached block " << b << " of "
-                                   << blocks << " (raw range " << raw << ")";
-      ASSERT_LT(block_hits[b], 8 * 512 * 5) << "hot block " << b;
-    }
-  }
-}
+                                           IndexStrategy::kTabulation));
 
 }  // namespace
 }  // namespace ppc::hashing

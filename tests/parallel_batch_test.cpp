@@ -82,41 +82,6 @@ TEST(ParallelBatch, MatchesSequentialForEveryFactoryDetector) {
   }
 }
 
-TEST(ParallelBatch, MatchesSequentialWithBlockedProbing) {
-  // The cache-line-blocked GBF shares the batched fast path's single-lane
-  // loop but takes the one-prefetch-per-element branch; verdict equivalence
-  // must hold there too.
-  const auto make = [] {
-    return [](std::size_t) {
-      GroupBloomFilter::Options opts;
-      opts.bits_per_subfilter = 1 << 14;
-      opts.hash_count = 7;
-      opts.strategy = hashing::IndexStrategy::kCacheLineBlocked;
-      return std::make_unique<GroupBloomFilter>(
-          WindowSpec::jumping_count(4096 / kShards, 8), opts);
-    };
-  };
-  const auto ids = testutil::make_id_stream(20000, 0.35, 2048, 80);
-
-  ShardedDetector seq(kShards, make());
-  std::vector<bool> expected(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) expected[i] = seq.offer(ids[i]);
-
-  for (const std::size_t threads : {1u, 4u}) {
-    ShardedDetector bat(kShards, make(), {.threads = threads});
-    bool buf[509];
-    for (std::size_t off = 0; off < ids.size(); off += 509) {
-      const std::size_t n = std::min<std::size_t>(509, ids.size() - off);
-      bat.offer_batch(std::span<const ClickId>(ids.data() + off, n),
-                      std::span<bool>(buf, n));
-      for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(buf[j], expected[off + j])
-            << "threads=" << threads << " diverged at " << (off + j);
-      }
-    }
-  }
-}
-
 TEST(ParallelBatch, MatchesSequentialWithTimeBasedWindows) {
   // Time-based windows shard exactly; a batch shares one timestamp, so the
   // sequential reference replays each element with its batch's timestamp.

@@ -485,6 +485,49 @@ TEST(ServerE2E, DrainAckReportsExactTotals) {
   EXPECT_EQ(dups, expected_dups);
 }
 
+// Clicks of different connections interleave at the sink, so a click may
+// arrive stamped older than the detector's clock. The TBF-time daemon must
+// answer it (judged at the current unit) and keep serving, with exact
+// DRAIN_ACK totals.
+TEST(ServerE2E, TbfTimeWindowAnswersBackwardsStampedClicks) {
+  const DetectorConfig cfg = tbf_time_config();
+  LoopbackServer server(cfg);
+  // A click stamped 5 s, then one stamped 1 s (the stamp of a repeat of
+  // the first), then every 7th click of a generated stream pulled 3 s back.
+  std::vector<wire::ClickRecord> clicks = {{1, 10, 5'000'000},
+                                           {1, 10, 1'000'000}};
+  auto more = make_clicks(1, 5'000, 13);
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    more[i].t_us += 5'000'000;
+    if (i % 7 == 3) more[i].t_us -= 3'000'000;
+  }
+  clicks.insert(clicks.end(), more.begin(), more.end());
+
+  BlockingClient client;
+  client.connect("127.0.0.1", server.port());
+  client.handshake();
+  std::vector<bool> wire_verdicts;
+  send_and_collect(client, clicks, 500, wire_verdicts);
+  ASSERT_EQ(wire_verdicts.size(), clicks.size());
+  EXPECT_FALSE(wire_verdicts[0]);
+  EXPECT_TRUE(wire_verdicts[1]) << "backwards-stamped repeat not flagged";
+  const auto expected = oracle_verdicts(cfg, clicks);
+  for (std::size_t i = 0; i < clicks.size(); ++i) {
+    ASSERT_EQ(wire_verdicts[i], expected[i]) << "diverged at click " << i;
+  }
+
+  client.send_drain();
+  wire::FrameView frame;
+  ASSERT_TRUE(client.read_frame(frame));
+  ASSERT_EQ(frame.type, wire::FrameType::kDrainAck);
+  std::uint64_t total = 0, dups = 0;
+  std::string err;
+  ASSERT_TRUE(wire::parse_drain_ack(frame.payload, total, dups, err)) << err;
+  EXPECT_EQ(total, clicks.size());
+  EXPECT_EQ(dups, static_cast<std::uint64_t>(
+                      std::count(expected.begin(), expected.end(), true)));
+}
+
 // Graceful shutdown mid-stream: stop() + drain() must deliver a verdict
 // for every click the server accepted before the stop.
 TEST(ServerE2E, GracefulDrainDeliversAllPendingVerdicts) {

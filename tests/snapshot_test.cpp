@@ -59,7 +59,8 @@ TEST_P(GbfSnapshotTest, ResumesIdenticallyAfterReload) {
     if (i == GetParam().checkpoint_at) {
       std::stringstream buffer;
       live.save(buffer);
-      resumed = GroupBloomFilter::load(buffer);
+      resumed = std::make_unique<GroupBloomFilter>(w, gbf_opts());
+      resumed->restore(buffer);
     }
     const bool expected = reference.offer(ids[i]);
     DuplicateDetector& d = resumed ? *resumed : live;
@@ -89,7 +90,8 @@ TEST_P(TbfSnapshotTest, ResumesIdenticallyAfterReload) {
     if (i == GetParam().checkpoint_at) {
       std::stringstream buffer;
       live.save(buffer);
-      resumed = TimingBloomFilter::load(buffer);
+      resumed = std::make_unique<TimingBloomFilter>(w, tbf_opts());
+      resumed->restore(buffer);
     }
     const bool expected = reference.offer(ids[i]);
     DuplicateDetector& d = resumed ? *resumed : live;
@@ -112,7 +114,8 @@ TEST(TbfSnapshot, TimeBasedStateSurvives) {
 
   std::stringstream buffer;
   live.save(buffer);
-  auto resumed = TimingBloomFilter::load(buffer);
+  auto resumed = std::make_unique<TimingBloomFilter>(w, tbf_opts());
+  resumed->restore(buffer);
 
   // In-window duplicates still flagged, expiry clock still correct.
   EXPECT_TRUE(resumed->offer(5, 300'000));
@@ -126,20 +129,22 @@ TEST(GbfSnapshot, TimeBasedStateSurvives) {
 
   std::stringstream buffer;
   live.save(buffer);
-  auto resumed = GroupBloomFilter::load(buffer);
+  auto resumed = std::make_unique<GroupBloomFilter>(w, gbf_opts());
+  resumed->restore(buffer);
   EXPECT_TRUE(resumed->offer(5, 300'000));
   EXPECT_FALSE(resumed->offer(5, 10'000'000));
 }
 
 TEST(Snapshot, RejectsGarbageAndWrongMagic) {
+  TimingBloomFilter tbf(WindowSpec::sliding_count(64), tbf_opts());
   std::stringstream garbage("this is not a snapshot at all, sorry");
-  EXPECT_THROW(TimingBloomFilter::load(garbage), std::runtime_error);
+  EXPECT_THROW(tbf.restore(garbage), std::runtime_error);
 
   // A GBF snapshot is not a TBF snapshot.
   GroupBloomFilter gbf(WindowSpec::jumping_count(64, 2), gbf_opts());
   std::stringstream buffer;
   gbf.save(buffer);
-  EXPECT_THROW(TimingBloomFilter::load(buffer), std::runtime_error);
+  EXPECT_THROW(tbf.restore(buffer), std::runtime_error);
 }
 
 // A corrupt word-count header must surface as runtime_error BEFORE any
@@ -161,7 +166,8 @@ TEST(Snapshot, RejectsForgedWordCountHeader) {
   const std::uint64_t huge = ~std::uint64_t{0} >> 3;
   std::memcpy(forged.data() + kWordCountOffset, &huge, 8);
   std::stringstream forged_in(forged);
-  EXPECT_THROW(TimingBloomFilter::load(forged_in), std::runtime_error);
+  TimingBloomFilter target(WindowSpec::sliding_count(64), tbf_opts());
+  EXPECT_THROW(target.restore(forged_in), std::runtime_error);
 
   // Plausible-looking count that still exceeds the remaining bytes
   // (fails the remaining-stream bound).
@@ -170,11 +176,11 @@ TEST(Snapshot, RejectsForgedWordCountHeader) {
       (bytes.size() - kWordCountOffset) / 8 + 1000;
   std::memcpy(forged.data() + kWordCountOffset, &oversize, 8);
   std::stringstream oversize_in(forged);
-  EXPECT_THROW(TimingBloomFilter::load(oversize_in), std::runtime_error);
+  EXPECT_THROW(target.restore(oversize_in), std::runtime_error);
 
   // Unchanged bytes still load — the forgery, not the check, is at fault.
   std::stringstream intact(bytes);
-  EXPECT_NO_THROW(TimingBloomFilter::load(intact));
+  EXPECT_NO_THROW(target.restore(intact));
 }
 
 TEST(Snapshot, RejectsTruncatedInput) {
@@ -183,7 +189,8 @@ TEST(Snapshot, RejectsTruncatedInput) {
   tbf.save(buffer);
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(TimingBloomFilter::load(truncated), std::runtime_error);
+  TimingBloomFilter target(WindowSpec::sliding_count(64), tbf_opts());
+  EXPECT_THROW(target.restore(truncated), std::runtime_error);
 }
 
 TEST(Snapshot, InstanceRestoreRejectsMismatchedParameters) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -36,19 +37,6 @@ TEST(Tbf, RejectsZeroEntries) {
   EXPECT_THROW(
       TimingBloomFilter(WindowSpec::sliding_count(10), small_opts(0)),
       std::invalid_argument);
-}
-
-TEST(Tbf, RejectsCacheLineBlockedProbing) {
-  auto blocked = small_opts(1u << 16, 8);
-  blocked.strategy = hashing::IndexStrategy::kCacheLineBlocked;
-  try {
-    TimingBloomFilter tbf(WindowSpec::sliding_count(100), blocked);
-    FAIL() << "blocked TBF was constructed";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("kCacheLineBlocked"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(Tbf, ImmediateDuplicateIsFlagged) {
@@ -186,11 +174,42 @@ TEST(TbfTimeBased, HandlesIdleGapsLongerThanTheCounter) {
   EXPECT_TRUE(tbf.offer(5, 3'600'000'001ull));
 }
 
-TEST(TbfTimeBased, RejectsTimeTravel) {
+std::string saved(const TimingBloomFilter& tbf) {
+  std::ostringstream out(std::ios::binary);
+  tbf.save(out);
+  return out.str();
+}
+
+TEST(TbfTimeBased, StaleStampIsJudgedAtTheCurrentUnit) {
+  // Clicks of different connections interleave at a server sink, so a
+  // stamp older than the clock is traffic, not an error: it is judged
+  // exactly like the same click stamped at the current unit.
   const auto w = WindowSpec::sliding_time(1'000'000, 10'000);
-  TimingBloomFilter tbf(w, small_opts());
-  tbf.offer(1, 5'000'000);
-  EXPECT_THROW(tbf.offer(2, 1'000'000), std::invalid_argument);
+  TimingBloomFilter stale(w, small_opts());
+  TimingBloomFilter current(w, small_opts());
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    stale.offer(i, 4'000'000 + i * 20'000);
+    current.offer(i, 4'000'000 + i * 20'000);
+  }
+  const std::uint64_t now = 4'000'000 + 49 * 20'000;
+  // A fresh id, an in-window duplicate, and an id whose stale stamp lies
+  // outside the window the clock has moved on to.
+  for (const ClickId id : {ClickId{1000}, ClickId{49}, ClickId{2}}) {
+    EXPECT_EQ(stale.offer(id, 1'000'000), current.offer(id, now)) << id;
+  }
+  EXPECT_EQ(saved(stale), saved(current));
+
+  // The batch path applies the same rule per click.
+  const ClickId ids[] = {2000, 2001, 2000, 40, 2002};
+  const std::uint64_t stale_times[] = {now + 30'000, now, now + 10'000,
+                                       5'000, now + 30'000};
+  const std::uint64_t clamped[] = {now + 30'000, now + 30'000, now + 30'000,
+                                   now + 30'000, now + 30'000};
+  bool got[5], want[5];
+  stale.offer_batch(ids, stale_times, got);
+  current.offer_batch(ids, clamped, want);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(got[i], want[i]) << i;
+  EXPECT_EQ(saved(stale), saved(current));
 }
 
 TEST(TbfTimeBased, SelfConsistentOnRandomTraffic) {

@@ -7,8 +7,10 @@
 #      ppcd / ppc_loadgen / ppcguard must refuse any flag they do not read
 #      (a retired flag like --engine=on, or a misspelling) with exit 2,
 #      must refuse a malformed numeric value (--memory-mib=16x,
-#      --shards=-1, --clicks=-1, ppcguard plan --window-n=16x) with exit 2
-#      while parsing flags, and ppcd must refuse a tiered-pool flag
+#      --shards=-1, --clicks=-1, ppcguard plan --window-n=16x), a port
+#      above 65535 (ppcd --listen, ppc_loadgen --connect) and an unknown
+#      ppcguard --policy or --kind with exit 2 while parsing flags, and
+#      ppcd must refuse a tiered-pool flag
 #      (--hot-fpr=...) on any sink but --sink=tiered with exit 2;
 #   3. the zero-false-negative gate: bench/multitenant_pool at its default
 #      scale (~2 s) exits 1 if the tiered pool misses any in-window
@@ -90,14 +92,19 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
       echo "FAIL: '$cmd' exited $RC without naming --$BAD: $OUT"; exit 1
     fi
   done
-  # Malformed numbers: a negative, partly numeric value is refused while
-  # parsing flags (exit 2, flag named), not wrapped or truncated by stoull.
+  # Malformed values: a negative or partly numeric number, a port above
+  # 65535, or a name outside its set is refused while parsing flags (exit
+  # 2, flag named), not wrapped, truncated or left for later.
   # `timeout` turns a regression (ppcd serving on a truncated value) into
   # a failure instead of a hang.
   for cmd in "./build/tools/ppcd --listen=127.0.0.1:0 --memory-mib=16x" \
              "./build/tools/ppcd --listen=127.0.0.1:0 --shards=-1" \
              "./build/tools/ppc_loadgen --connect=127.0.0.1:1 --clicks=-1" \
-             "./build/tools/ppcguard plan --window-n=16x"; do
+             "./build/tools/ppcguard plan --window-n=16x" \
+             "./build/tools/ppcd --sink=sharded --listen=127.0.0.1:70000" \
+             "./build/tools/ppc_loadgen --clicks=1 --connect=127.0.0.1:70000" \
+             "./build/tools/ppcguard detect --trace=x --policy=bogus" \
+             "./build/tools/ppcguard gen --out=/dev/null --kind=bogus"; do
     RC=0
     OUT=$(timeout 20 $cmd 2>&1) || RC=$?
     BAD=${cmd##* --}

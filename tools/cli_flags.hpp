@@ -5,7 +5,8 @@
 // so a misspelled or retired flag can never silently fall back to a
 // default. Numeric values are parsed strictly (server::parse_u64 /
 // parse_double): a negative, partly numeric or empty value is refused with
-// "invalid value for --<key>" and exit status 2.
+// "invalid value for --<key>" and exit status 2, and so is a HOST:PORT
+// flag whose port is not a decimal in [0, 65535].
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -83,6 +85,40 @@ inline std::uint64_t flag_u64(const Flags& flags, const std::string& key,
 inline double flag_double(const Flags& flags, const std::string& key,
                           double fallback) {
   return parse_flag(flags, key, fallback, server::parse_double);
+}
+
+struct HostPort {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Strict HOST:PORT: the port must be a decimal in [0, 65535]; anything
+/// else throws std::invalid_argument naming `what`.
+inline HostPort parse_hostport(const std::string& text,
+                               const std::string& what) {
+  const auto colon = text.rfind(':');
+  const std::uint64_t port =
+      colon == std::string::npos
+          ? 65536
+          : server::parse_u64(std::string_view(text).substr(colon + 1), what);
+  if (port > 65535) {
+    throw std::invalid_argument("invalid value for " + what + ": '" + text +
+                                "' (want HOST:PORT, port 0-65535)");
+  }
+  return {text.substr(0, colon), static_cast<std::uint16_t>(port)};
+}
+
+/// Looks up the HOST:PORT flag `key` through parse_hostport, exiting 2 on a
+/// malformed value like parse_flag; nullopt when the flag is absent and
+/// `fallback` is empty.
+inline std::optional<HostPort> flag_hostport(const Flags& flags,
+                                             const std::string& key,
+                                             const std::string& fallback) {
+  if (flags.contains(key)) {
+    return parse_flag(flags, key, HostPort{}, parse_hostport);
+  }
+  if (fallback.empty()) return std::nullopt;
+  return parse_hostport(fallback, "--" + key);
 }
 
 }  // namespace ppc::cli

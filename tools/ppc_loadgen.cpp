@@ -259,12 +259,8 @@ int main(int argc, char** argv) {
        "memory-mib", "hashes", "backend", "shards", "owners"},
       usage);
   try {
-    const std::string connect = flag(flags, "connect", "127.0.0.1:4817");
-    const auto colon = connect.rfind(':');
-    if (colon == std::string::npos) usage(argv[0]);
-    const std::string host = connect.substr(0, colon);
-    const auto port = static_cast<std::uint16_t>(
-        std::stoul(connect.substr(colon + 1)));
+    const auto [host, port] =
+        *cli::flag_hostport(flags, "connect", "127.0.0.1:4817");
 
     const auto connections =
         static_cast<std::uint32_t>(flag_u64(flags, "connections", 4));

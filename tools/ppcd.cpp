@@ -182,16 +182,8 @@ int main(int argc, char** argv) {
        "replicate-listen", "repl-ring-batches", "repl-ring-mib", "follow"},
       usage);
   try {
-    const auto parse_hostport =
-        [argv](const std::string& spec) -> std::pair<std::string,
-                                                     std::uint16_t> {
-      const auto colon = spec.rfind(':');
-      if (colon == std::string::npos) usage(argv[0]);
-      return {spec.substr(0, colon),
-              static_cast<std::uint16_t>(std::stoul(spec.substr(colon + 1)))};
-    };
     const auto [host, port] =
-        parse_hostport(flag(flags, "listen", "127.0.0.1:4817"));
+        *cli::flag_hostport(flags, "listen", "127.0.0.1:4817");
 
     server::DetectorConfig cfg;
     cfg.window = server::parse_window_spec(
@@ -310,9 +302,9 @@ int main(int argc, char** argv) {
     // standby (--follow), never both: a promoted standby has applied
     // clicks that never went through its own ingest flush path, so its
     // ring could not serve a second-tier follower faithfully.
-    const std::string repl_listen = flag(flags, "replicate-listen", "");
-    const std::string follow = flag(flags, "follow", "");
-    if (!repl_listen.empty() && !follow.empty()) {
+    const auto repl_listen = cli::flag_hostport(flags, "replicate-listen", "");
+    const auto follow = cli::flag_hostport(flags, "follow", "");
+    if (repl_listen && follow) {
       std::fprintf(stderr,
                    "ppcd: --replicate-listen and --follow are mutually "
                    "exclusive (a node is a primary or a standby)\n");
@@ -320,14 +312,14 @@ int main(int argc, char** argv) {
     }
     if ((flags.contains("repl-ring-batches") ||
          flags.contains("repl-ring-mib")) &&
-        repl_listen.empty()) {
+        !repl_listen) {
       std::fprintf(stderr,
                    "ppcd: --repl-ring-* require --replicate-listen\n");
       return 2;
     }
 
     const std::string restore_path = flag(flags, "restore", "");
-    if (!follow.empty() && !restore_path.empty()) {
+    if (follow && !restore_path.empty()) {
       std::fprintf(stderr,
                    "ppcd: --follow excludes --restore: the follower "
                    "catches up from the primary (ring replay or snapshot "
@@ -342,7 +334,7 @@ int main(int argc, char** argv) {
     }
 
     std::unique_ptr<server::ReplicationLog> repl_log;
-    if (!repl_listen.empty()) {
+    if (repl_listen) {
       server::ReplicationLog::Options ro;
       ro.max_batches = ring_batches;
       ro.max_bytes = ring_mib << 20;
@@ -369,8 +361,8 @@ int main(int argc, char** argv) {
     // bound — clients that connect early queue in the accept backlog and
     // are served the moment the promoted loops start.
     std::unique_ptr<server::ReplicationApplier> applier;
-    if (!follow.empty()) {
-      const auto [fhost, fport] = parse_hostport(follow);
+    if (follow) {
+      const auto& [fhost, fport] = *follow;
       applier = std::make_unique<server::ReplicationApplier>(*active);
       server::ReplicationFollower repl_follower(fhost, fport, *applier);
       std::signal(SIGUSR1, handle_promote);
@@ -427,7 +419,7 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<server::ReplicationSource> repl_source;
     if (repl_log) {
-      const auto [rhost, rport] = parse_hostport(repl_listen);
+      const auto& [rhost, rport] = *repl_listen;
       repl_source = std::make_unique<server::ReplicationSource>(
           *repl_log, [&srv](std::uint64_t& base_seq) {
             return srv.replication_snapshot(base_seq);

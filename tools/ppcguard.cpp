@@ -64,18 +64,38 @@ core::WindowSpec flag_window(const cli::Flags& flags) {
       });
 }
 
-stream::IdentifierPolicy parse_policy(const std::string& text) {
-  if (text == "ip") return stream::IdentifierPolicy::kIpAndAd;
-  if (text == "cookie") return stream::IdentifierPolicy::kCookieAndAd;
-  if (text == "both") return stream::IdentifierPolicy::kIpCookieAndAd;
-  throw std::invalid_argument("unrecognized --policy: " + text);
+/// --policy and --kind name one of a fixed set; anything else exits 2
+/// with an error naming the flag.
+stream::IdentifierPolicy flag_policy(const cli::Flags& flags) {
+  return cli::parse_flag(
+      flags, "policy", stream::IdentifierPolicy::kIpAndAd,
+      [](const std::string& text, const std::string& what) {
+        if (text == "ip") return stream::IdentifierPolicy::kIpAndAd;
+        if (text == "cookie") return stream::IdentifierPolicy::kCookieAndAd;
+        if (text == "both") return stream::IdentifierPolicy::kIpCookieAndAd;
+        throw std::invalid_argument("invalid value for " + what + ": '" +
+                                    text + "' (want ip|cookie|both)");
+      });
+}
+
+std::string flag_kind(const cli::Flags& flags) {
+  return cli::parse_flag(
+      flags, "kind", std::string("mixed"),
+      [](const std::string& text, const std::string& what) {
+        for (const char* kind : {"distinct", "mixed", "botnet", "revisit"}) {
+          if (text == kind) return text;
+        }
+        throw std::invalid_argument(
+            "invalid value for " + what + ": '" + text +
+            "' (want distinct|mixed|botnet|revisit)");
+      });
 }
 
 int cmd_gen(const cli::Flags& flags) {
   const std::string out = flag(flags, "out", "");
   if (out.empty()) throw std::invalid_argument("gen: --out is required");
   const std::uint64_t clicks = flag_u64(flags, "clicks", 1'000'000);
-  const std::string kind = flag(flags, "kind", "mixed");
+  const std::string kind = flag_kind(flags);
   const std::uint64_t seed = flag_u64(flags, "seed", 1);
 
   std::unique_ptr<stream::ClickGenerator> gen;
@@ -101,12 +121,10 @@ int cmd_gen(const cli::Flags& flags) {
     atk.attack_fraction = flag_double(flags, "attack-fraction", 0.3);
     gen = std::make_unique<stream::BotnetAttackStream>(
         std::make_unique<stream::MixedTrafficStream>(bg), atk);
-  } else if (kind == "revisit") {
+  } else {  // revisit
     stream::RevisitStreamOptions opts;
     opts.seed = seed;
     gen = std::make_unique<stream::RevisitStream>(opts);
-  } else {
-    throw std::invalid_argument("gen: unknown --kind=" + kind);
   }
 
   stream::TraceWriter writer(out);
@@ -122,7 +140,7 @@ int cmd_detect(const cli::Flags& flags) {
   const std::string path = flag(flags, "trace", "");
   if (path.empty()) throw std::invalid_argument("detect: --trace is required");
   const auto window = flag_window(flags);
-  const auto policy = parse_policy(flag(flags, "policy", "ip"));
+  const auto policy = flag_policy(flags);
 
   core::DetectorBudget budget;
   budget.total_memory_bits = flag_u64(flags, "memory-mib", 16) << 23;
@@ -163,7 +181,7 @@ int cmd_audit(const cli::Flags& flags) {
   const std::string path = flag(flags, "trace", "");
   if (path.empty()) throw std::invalid_argument("audit: --trace is required");
   const auto window = flag_window(flags);
-  const auto policy = parse_policy(flag(flags, "policy", "ip"));
+  const auto policy = flag_policy(flags);
   const auto bid = adnet::from_dollars(flag_double(flags, "bid", 0.25));
 
   core::DetectorBudget budget;
